@@ -6,32 +6,29 @@ identity of a standard simplex, or the unique map to a one-point space)
 together with an ordered list of precomposed primitive maps; the
 boundary operator appends a face insertion and a Θ map per summand.
 
-Two checks make the defining identities executable:
+One generator expands a term into the summands of its boundary; the
+operator, both sides of the commutation identity and the cancellation
+certificate all use it, and every composite is evaluated by
+``SingularTerm.evaluate``.  Two checks make the defining identities
+executable:
 
-* ``check_equation`` evaluates both sides of the commutation identity
-  between doubled face/Θ composites on a grid and demands exact
-  agreement;
-* ``check_boundary_squared`` expands the double boundary, pairs the
-  summands through the explicit index bijection (j,p) ↦ (p+1,j) with the
-  layer indices swapped, and certifies that each pair carries opposite
-  coefficients and equal composite maps on the grid.
+* ``check_equation`` evaluates the two summands (j,p,i,k) and
+  (p+1,j,k,i) of the double boundary of the identity chain on a grid and
+  demands exact agreement;
+* ``check_boundary_squared`` pairs the summands of the double boundary
+  through the explicit index bijection (j,p) ↦ (p+1,j) with the layer
+  indices swapped, certifies that each pair carries opposite
+  coefficients, and delegates the map agreement of each pair to
+  ``check_equation``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .geometry import DEFAULT_SEED, BaryPoint, canonical_grid, format_point
-from .theta import (
-    FaceMap,
-    ThetaKey,
-    UnsupportedL,
-    face_delete,
-    face_insert,
-    theta,
-)
+from .theta import FaceMap, ThetaKey, UnsupportedL, face_insert, theta
 
 
 # ---------------------------------------------------------------------------
@@ -132,25 +129,6 @@ class FaceInsertStep:
 
 
 @dataclass(frozen=True)
-class FaceDeleteStep:
-    fm: FaceMap
-
-    @property
-    def dom_dim(self) -> int:
-        return self.fm.n
-
-    @property
-    def cod_dim(self) -> int:
-        return self.fm.n - 1
-
-    def apply(self, x: BaryPoint) -> BaryPoint:
-        return face_delete(self.fm, x)
-
-    def __str__(self) -> str:
-        return f"del({self.fm.L},{self.fm.n},{self.fm.i},{self.fm.j})"
-
-
-@dataclass(frozen=True)
 class ThetaStep:
     key: ThetaKey
 
@@ -192,7 +170,7 @@ class ThetaInverseStep:
         return f"thinv({self.key.L},{self.key.n},{self.key.i})"
 
 
-Primitive = Union[FaceInsertStep, FaceDeleteStep, ThetaStep, ThetaInverseStep]
+Primitive = Union[FaceInsertStep, ThetaStep, ThetaInverseStep]
 
 
 @dataclass(frozen=True)
@@ -311,36 +289,40 @@ def chain_scale(c: Chain, r: int) -> Chain:
     return Chain.make(c.ring, c.dim, {t: c.ring.mul(coeff, r) for t, coeff in c.terms})
 
 
+def _face_summands(
+    term: SingularTerm, m: CoefficientTuple
+) -> Iterator[Tuple[Tuple[int, int], int, SingularTerm]]:
+    """The (n+1)(L+1) summands ((j, i), weight, term') of ∂term.
+
+    Slot j carries the sign (-1)^j and layer i the weight m_i; term'
+    precomposes the face insertion and the matching Θ map.  Summands come
+    in (j, i) order and are not canonicalized.
+    """
+    L, n = m.L, term.domain_dim
+    for j in range(n + 1):
+        sign = -1 if j % 2 else 1
+        for i in range(L + 1):
+            steps = (FaceInsertStep(FaceMap(L, n, i, j)), ThetaStep(ThetaKey(L, n - 1, i)))
+            yield (j, i), sign * m[i], SingularTerm(term.target, term.precomps + steps, n - 1)
+
+
 def boundary(c: Chain, m: CoefficientTuple) -> Chain:
     """The weighted boundary of ``c``.
 
-    Every dimension-n term spawns (n+1)(L+1) terms: slot j with sign
-    (-1)^j and layer i with weight m_i, each precomposing the face
-    insertion and the matching Θ map.  Dimension-0 chains bound to the
-    zero chain by definition.
+    Every dimension-n term spawns the (n+1)(L+1) summands of
+    ``_face_summands``.  Dimension-0 chains bound to the zero chain by
+    definition.
     """
-    L = m.L
-    if L > 1:
-        raise UnsupportedL(f"no Θ family for L={L}")
+    if m.L > 1:
+        raise UnsupportedL(f"no Θ family for L={m.L}")
     n = c.dim
     if n == 0:
         return zero_chain(c.ring, -1)
     entries: Dict[SingularTerm, int] = {}
     for term, coeff in c.terms:
-        for j in range(n + 1):
-            sign = -1 if j % 2 else 1
-            for i in range(L + 1):
-                new_term = SingularTerm(
-                    term.target,
-                    term.precomps
-                    + (
-                        FaceInsertStep(FaceMap(L, n, i, j)),
-                        ThetaStep(ThetaKey(L, n - 1, i)),
-                    ),
-                    n - 1,
-                ).canonical()
-                weight = c.ring.mul(coeff, c.ring.norm(sign * m[i]))
-                entries[new_term] = c.ring.add(entries.get(new_term, 0), weight)
+        for _, weight, face_term in _face_summands(term, m):
+            key = face_term.canonical()
+            entries[key] = c.ring.add(entries.get(key, 0), c.ring.mul(coeff, weight))
     return Chain.make(c.ring, n - 1, entries)
 
 
@@ -391,24 +373,21 @@ class EquationCheck:
         }
 
 
-def equation_sides(n: int, j: int, p: int, i: int, k: int, L: int = 1):
-    """The two composite maps Δ_{n-1} → Δ_{n+1} of the identity."""
-    th_n_i = theta(ThetaKey(L, n, i))
-    th_n_k = theta(ThetaKey(L, n, k))
-    th_low_i = theta(ThetaKey(L, n - 1, i))
-    th_low_k = theta(ThetaKey(L, n - 1, k))
-    fm_out_left = FaceMap(L, n + 1, i, j)
-    fm_in_left = FaceMap(L, n, k, p)
-    fm_out_right = FaceMap(L, n + 1, k, p + 1)
-    fm_in_right = FaceMap(L, n, i, j)
+def equation_sides(
+    n: int, j: int, p: int, i: int, k: int, L: int = 1
+) -> Tuple[SingularTerm, SingularTerm]:
+    """The two composites Δ_{n-1} → Δ_{n+1} of the identity.
 
-    def left(x: BaryPoint) -> BaryPoint:
-        return face_insert(fm_out_left, th_n_i(face_insert(fm_in_left, th_low_k(x))))
+    They are the summands (j,p,i,k) and (p+1,j,k,i) of the double
+    boundary of the identity (n+1)-chain.
+    """
+    weights = CoefficientTuple([1] * (L + 1))  # the weights do not enter the maps
 
-    def right(x: BaryPoint) -> BaryPoint:
-        return face_insert(fm_out_right, th_n_k(face_insert(fm_in_right, th_low_i(x))))
+    def faces(term):
+        return {key: face for key, _, face in _face_summands(term, weights)}
 
-    return left, right
+    top = faces(identity_term(n + 1))
+    return faces(top[j, i])[p, k], faces(top[p + 1, k])[j, i]
 
 
 def check_equation(
@@ -421,7 +400,13 @@ def check_equation(
     L: int = 1,
     grid_meta: Optional[dict] = None,
 ) -> EquationCheck:
-    """Exact grid agreement of the two doubled face/Θ composites."""
+    """Exact grid agreement of the two doubled face/Θ composites.
+
+    A point that a side rejects (any ``ValueError`` raised while
+    evaluating, such as a point-validation or face-slot failure) becomes
+    a witness carrying the exception in ``detail``.  A Θ map that cannot
+    be constructed, such as one past the dimension cap, raises instead.
+    """
     if n < 1:
         raise ValueError("the identity needs n >= 1")
     if not 0 <= j <= p <= n:
@@ -432,11 +417,17 @@ def check_equation(
         grid = canonical_grid(n - 1)
         grid_meta = grid_meta or {"denominator": 60, "size": len(grid), "seed": DEFAULT_SEED}
     left, right = equation_sides(n, j, p, i, k, L)
+    for step in left.precomps + right.precomps:
+        if isinstance(step, ThetaStep):
+            theta(step.key)
     result = EquationCheck(n=n, L=L, j=j, p=p, i=i, k=k, points_checked=0, grid_meta=grid_meta)
     for x in grid:
-        lhs = left(x)
-        rhs = right(x)
         result.points_checked += 1
+        try:
+            lhs, rhs = left.evaluate(x), right.evaluate(x)
+        except ValueError as exc:
+            result.witnesses.append(Witness(format_point(x), "-", "-", f"{type(exc).__name__}: {exc}"))
+            continue
         if lhs != rhs:
             result.witnesses.append(Witness(format_point(x), format_point(lhs), format_point(rhs)))
     return result
@@ -507,10 +498,13 @@ def check_boundary_squared(
     Each summand of the expansion is indexed by (j, p, i, k); the summand
     with j <= p is paired with the one at (p+1, j) and swapped layer
     indices.  The certificate checks that paired coefficients are exact
-    negatives and that the paired composite maps agree on every grid
-    point, and that the pairing consumes every summand exactly once.
-    For dimension-1 chains the second boundary is the zero map by
-    definition and the certificate is trivial.
+    negatives and that the pairing consumes every summand exactly once.
+    A pair's composites are term ∘ s and term ∘ s' for the two sides s,
+    s' of the commutation identity (j, p, i, k) at level d-1; every step
+    is injective, so they agree at a point exactly when s and s' do, and
+    ``check_equation`` decides that on the grid.  For dimension-1 chains
+    the second boundary is the zero map by definition and the
+    certificate is trivial.
     """
     L = m.L
     if L > 1:
@@ -534,33 +528,18 @@ def check_boundary_squared(
     )
 
     for term, coeff in c.terms:
-        summands: Dict[Tuple[int, int, int, int], Tuple[int, SingularTerm]] = {}
-        for j in range(d + 1):
-            for i in range(L + 1):
-                inner = (
-                    FaceInsertStep(FaceMap(L, d, i, j)),
-                    ThetaStep(ThetaKey(L, d - 1, i)),
-                )
-                coeff1 = ring.mul(coeff, ring.norm((-1 if j % 2 else 1) * m[i]))
-                for p in range(d):
-                    for k in range(L + 1):
-                        steps = term.precomps + inner + (
-                            FaceInsertStep(FaceMap(L, d - 1, k, p)),
-                            ThetaStep(ThetaKey(L, d - 2, k)),
-                        )
-                        coeff2 = ring.mul(coeff1, ring.norm((-1 if p % 2 else 1) * m[k]))
-                        summands[(j, p, i, k)] = (
-                            coeff2,
-                            SingularTerm(term.target, steps, d - 2),
-                        )
+        summands: Dict[Tuple[int, int, int, int], int] = {}
+        for (j, i), w1, face in _face_summands(term, m):
+            for (p, k), w2, _ in _face_summands(face, m):
+                summands[(j, p, i, k)] = ring.mul(ring.mul(coeff, w1), w2)
         check.summands_total += len(summands)
 
         consumed = set()
-        for (j, p, i, k), (coeff_small, term_small) in summands.items():
+        for (j, p, i, k), coeff_small in summands.items():
             if j > p:
                 continue
             partner = (p + 1, j, k, i)
-            coeff_big, term_big = summands[partner]
+            coeff_big = summands[partner]
             check.pairs_checked += 1
             consumed.add((j, p, i, k))
             consumed.add(partner)
@@ -576,22 +555,13 @@ def check_boundary_squared(
                 continue
             if isinstance(term.target, PointTarget):
                 continue  # all composites into the point coincide
-            for x in grid:
-                lhs = term_small.evaluate(x)
-                rhs = term_big.evaluate(x)
-                check.points_checked += 1
-                if lhs != rhs:
-                    check.witnesses.append(
-                        Witness(
-                            point=format_point(x),
-                            left=format_point(lhs),
-                            right=format_point(rhs),
-                            detail=f"maps of {(j, p, i, k)} and {partner} disagree",
-                        )
-                    )
+            maps = check_equation(d - 1, j, p, i, k, grid, L)
+            check.points_checked += maps.points_checked
+            for w in maps.witnesses:
+                detail = f"maps of {(j, p, i, k)} and {partner} disagree"
+                if w.detail:
+                    detail += f": {w.detail}"
+                check.witnesses.append(Witness(w.point, w.left, w.right, detail))
         check.consumed += len(consumed)
     return check
 
-
-def report_to_json_text(report) -> str:
-    return json.dumps(report.to_json(), sort_keys=True, indent=2)

@@ -29,7 +29,7 @@ from .chain import (
     equation_instances,
     identity_term,
 )
-from .comfort import counterexample_map
+from .comfort import SimplexHomeo, counterexample_map
 from .geometry import (
     DEFAULT_DENOMINATOR,
     DEFAULT_SEED,
@@ -42,7 +42,7 @@ from .geometry import (
     vertex,
 )
 from .homology_point import homology_table
-from .theta import ThetaKey, theta, FaceMap, face_insert
+from .theta import THETA1_DIM_CAP, FaceMap, ThetaKey, face_insert, theta
 
 
 class UsageError(ValueError):
@@ -83,8 +83,12 @@ def _apply_config(args: argparse.Namespace) -> None:
     for key, raw in config.items():
         if not hasattr(args, key):
             raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, key) is None:  # flags win over the config file
+        if getattr(args, key) is not None:  # flags win over the config file
+            continue
+        try:
             setattr(args, key, int(raw) if key in _CONFIG_INT_KEYS else raw)
+        except ValueError as exc:
+            raise UsageError(f"config key {key!r}: {exc}") from exc
 
 
 def _fill_defaults(args: argparse.Namespace, **defaults) -> None:
@@ -105,6 +109,24 @@ def _grid_meta(denominator: int, size: int, seed: int) -> dict:
     return {"denominator": denominator, "size": size, "seed": seed}
 
 
+def _check_family(L: int) -> None:
+    if L not in (0, 1):
+        raise UsageError(f"the homeomorphism family exists for L in {{0,1}}, got {L}")
+
+
+def _check_levels(args, L: int, theta_dim: int) -> None:
+    """Validate --n/--n-max; ``theta_dim`` is the top Θ dimension the run needs."""
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
+    if args.n_max < args.n:
+        raise UsageError(f"--n-max {args.n_max} is below --n {args.n}")
+    if L == 1 and theta_dim > THETA1_DIM_CAP:
+        raise UsageError(
+            f"--n-max {args.n_max} needs Θ(1,{theta_dim},1); "
+            f"the inductive family is built up to dimension {THETA1_DIM_CAP}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -112,12 +134,10 @@ def _grid_meta(denominator: int, size: int, seed: int) -> dict:
 def cmd_verify_equations(args) -> int:
     _apply_config(args)
     _fill_defaults(args, n=1, L=1, grid_denominator=DEFAULT_DENOMINATOR, seed=DEFAULT_SEED)
-    if args.L not in (0, 1):
-        raise UsageError(f"the homeomorphism family exists for L in {{0,1}}, got {args.L}")
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
+    _check_family(args.L)
     if args.n_max is None:
         args.n_max = args.n
+    _check_levels(args, args.L, args.n_max)
     instances = []
     all_pass = True
     for n in range(args.n, args.n_max + 1):
@@ -149,13 +169,11 @@ def cmd_verify_boundary(args) -> int:
     _fill_defaults(args, n=2, L=None, m="1,1", grid_denominator=DEFAULT_DENOMINATOR, seed=DEFAULT_SEED)
     if args.n_max is None:
         args.n_max = args.n
-    m = _parse_m(args.m) if isinstance(args.m, str) else args.m
+    m = _parse_m(args.m)
     if args.L is not None and args.L != m.L:
         raise UsageError(f"--L {args.L} contradicts the coefficient tuple of length {len(m)}")
-    if m.L not in (0, 1):
-        raise UsageError(f"the homeomorphism family exists for L in {{0,1}}, got {m.L}")
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
+    _check_family(m.L)
+    _check_levels(args, m.L, args.n_max - 1)
     runs = []
     all_pass = True
     for dim in range(args.n, args.n_max + 1):
@@ -194,12 +212,11 @@ def _resolve_map(map_id: str):
             params[key.strip()] = val.strip()
     if head == "theta":
         try:
-            key = ThetaKey(int(params["L"]), int(params["n"]), int(params["i"]))
+            return theta(ThetaKey(int(params["L"]), int(params["n"]), int(params["i"])))
         except KeyError as exc:
             raise UsageError(f"theta map id needs L, n, i: {map_id!r}") from exc
         except ValueError as exc:
             raise UsageError(f"bad theta map id {map_id!r}: {exc}") from exc
-        return theta(key)
     if head == "pi_alpha":
         try:
             n = int(params["n"])
@@ -208,11 +225,7 @@ def _resolve_map(map_id: str):
             raise UsageError(f"pi_alpha map id needs n and alpha: {map_id!r}") from exc
         if n < 0 or not 0 <= alpha <= Fraction(1, n + 1):
             raise UsageError(f"pi_alpha level {alpha} outside [0, 1/{n + 1}]")
-        class _Proj:
-            dim = n
-            def __call__(self, x):
-                return project_layer(x, alpha)
-        return _Proj()
+        return SimplexHomeo(n, lambda x: project_layer(x, alpha), kind="projection")
     if head == "counterexample":
         return counterexample_map()
     raise UsageError(f"unknown map id {map_id!r}")
@@ -337,10 +350,11 @@ def cmd_figure(args) -> int:
 def cmd_homology(args) -> int:
     _apply_config(args)
     _fill_defaults(args, m="1", n_max=8)
-    m = _parse_m(args.m) if isinstance(args.m, str) else args.m
-    if int(args.n_max) < 0:
+    m = _parse_m(args.m)
+    _check_family(m.L)
+    if args.n_max < 0:
         raise UsageError("--n-max must be nonnegative")
-    rows = homology_table(m, int(args.n_max))
+    rows = homology_table(m, args.n_max)
     text = "\n".join(f"{n}, {bnd}, {hn}" for n, bnd, hn in rows) + "\n"
     _write_or_print(text, args.out)
     return 0
@@ -362,7 +376,8 @@ def _add_common(sub, *flags):
     if "grid" in flags:
         sub.add_argument("--grid-denominator", dest="grid_denominator", type=int, default=None)
         sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--format", default=None, help="output format (json|csv|svg)")
+    if "format" in flags:
+        sub.add_argument("--format", default=None, help="csv (default) or svg")
     sub.add_argument("--out", default=None, help="write the report/figure to this path")
     sub.add_argument("--config", default=None, help="key=value file mirroring the flags; flags win")
 
@@ -396,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("figure", help="export the planar boundary figure (dimension 2)")
     p.add_argument("--alpha", default=None, help="also draw the three chords of this cross level")
-    _add_common(p, "n", "m")
+    _add_common(p, "n", "m", "format")
     p.set_defaults(func=cmd_figure)
 
     p = subs.add_parser("homology", help="print the point homology table")

@@ -1,11 +1,11 @@
 """Homology of the one-point space under the weighted boundary operator.
 
 Over the point there is exactly one singular simplex per dimension, so
-every chain module is free of rank 1 and each boundary map is either
-zero or multiplication by the coefficient sum.  The homology modules
-follow from the alternating pattern of those scalar maps; every symbolic
-answer is cross-validated against a direct kernel/image computation on
-the rank-1 complex.
+every chain module is free of rank 1 and each boundary map is a scalar.
+The scalars are read off ``chain.boundary`` applied to the point
+simplex.  The homology modules have a closed form in the degree parity
+and the coefficient sum; every closed-form answer is cross-validated
+against the kernel/image of the scalars derived from the chain complex.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .chain import CoefficientTuple
+from .chain import CoefficientTuple, boundary, chain_of_term, point_term
 
 
 def sigma(m: CoefficientTuple) -> int:
@@ -35,21 +35,15 @@ class ScalarMap:
         return "0" if self.factor == 0 else f"×{self.factor}"
 
 
-ZERO_MAP = ScalarMap(0)
-
-
 def point_boundary_map(n: int, m: CoefficientTuple) -> ScalarMap:
     """The boundary map in degree n of the point complex.
 
-    The n+1 slot choices contribute the coefficient sum with alternating
-    signs, so odd degrees (and degree 0, by definition) give the zero map
-    and positive even degrees give multiplication by the sum.
+    The factor is the coefficient of the point simplex of degree n-1 in
+    the weighted boundary of the point simplex of degree n.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if n == 0 or n % 2 == 1:
-        return ZERO_MAP
-    return ScalarMap(sigma(m))
+    return ScalarMap(boundary(chain_of_term(point_term(n)), m).coefficient(point_term(n - 1)))
 
 
 @dataclass(frozen=True)
@@ -97,10 +91,13 @@ def _homology_from_scalar_maps(into: ScalarMap, outof: ScalarMap) -> ModuleDescr
 def point_homology(n: int, m: CoefficientTuple) -> ModuleDescription:
     """Homology of the point in degree n over the integers.
 
-    Computed symbolically from the degree parity and the coefficient sum,
-    then cross-validated against the kernel/image of the adjacent scalar
-    maps; a mismatch would indicate a broken boundary description and
-    raises immediately.
+    Computed symbolically from the degree parity and the coefficient sum:
+    the n+1 slot choices of the boundary contribute the sum with
+    alternating signs, so odd degrees (and degree 0, by definition) map
+    by zero and positive even degrees by the sum.  The answer is then
+    cross-validated against the kernel/image of the adjacent scalar maps
+    derived from ``chain.boundary``; a mismatch would indicate a broken
+    boundary operator and raises immediately.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")

@@ -13,14 +13,15 @@ homeomorphism that precomposes it inside the boundary operator:
   1/(2(n+1)+1)-cross.
 
 Maps are constructed once per key and cached; after construction the
-cache is read-only and safe to share.
+cache is read-only and safe to share.  The inductive family is built up
+to dimension ``THETA1_DIM_CAP`` and no further.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from .comfort import SimplexHomeo, extend_from_boundary, identity_homeo, lambda_lift
 from .geometry import BaryPoint, apply_perm, format_point, format_rational, transposition
@@ -39,20 +40,9 @@ class NotOnFace(ValueError):
     """The point does not lie on the requested boundary face."""
 
 
-#: Construction of the inductive family stops here unless raised; each
+#: Construction of the inductive family stops at this dimension; each
 #: extra dimension multiplies evaluation cost by a constant factor.
-DEFAULT_THETA1_DIM_CAP = 6
-
-_theta1_dim_cap = DEFAULT_THETA1_DIM_CAP
-
-
-def theta1_dim_cap(new_cap: Optional[int] = None) -> int:
-    """Read or set the construction cap for the inductive family."""
-    global _theta1_dim_cap
-    old = _theta1_dim_cap
-    if new_cap is not None:
-        _theta1_dim_cap = new_cap
-    return old
+THETA1_DIM_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -142,10 +132,10 @@ def theta(key: ThetaKey) -> SimplexHomeo:
         # polygon, which restricts to a homeomorphism of [0, 1/2].
         homeo = lambda_lift(restrict(kappa(), 0, Fraction(1, 2)), 1)
     else:
-        if key.n > _theta1_dim_cap:
+        if key.n > THETA1_DIM_CAP:
             raise ValueError(
-                f"inductive construction capped at dimension {_theta1_dim_cap}; "
-                "raise it with theta1_dim_cap()"
+                f"the inductive family Θ(1,n,1) is built up to dimension {THETA1_DIM_CAP}, "
+                f"not {key.n}"
             )
         homeo = theta1_full(key.n)
     homeo.label = key.map_id()
@@ -217,11 +207,3 @@ def theta1_full(n: int) -> SimplexHomeo:
     homeo.kind = "theta-induction"
     return homeo
 
-
-def theta_cache_keys() -> Tuple[ThetaKey, ...]:
-    return tuple(_CACHE.keys())
-
-
-def reset_theta_cache() -> None:
-    """Drop all cached maps; they rebuild on demand.  Intended for tests."""
-    _CACHE.clear()

@@ -114,9 +114,15 @@ def test_unsupported_coefficient_length():
 def test_equation_values_at_level_one():
     left, right = equation_sides(1, 0, 0, 0, 1)
     x = BaryPoint([1])
-    assert left(x) == right(x) == BaryPoint([0, F(1, 6), F(5, 6)])
+    assert left.evaluate(x) == right.evaluate(x) == BaryPoint([0, F(1, 6), F(5, 6)])
     left, right = equation_sides(1, 0, 0, 1, 1)
-    assert left(x) == right(x) == BaryPoint([F(1, 6), F(1, 6), F(2, 3)])
+    assert left.evaluate(x) == right.evaluate(x) == BaryPoint([F(1, 6), F(1, 6), F(2, 3)])
+
+
+def test_equation_sides_are_double_boundary_summands():
+    left, right = equation_sides(2, 1, 2, 1, 0)
+    assert left.describe() == "simplex3←ins(1,3,1,1)∘th(1,2,1)∘ins(1,2,0,2)∘th(1,1,0)"
+    assert right.describe() == "simplex3←ins(1,3,0,3)∘th(1,2,0)∘ins(1,2,1,1)∘th(1,1,1)"
 
 
 def test_check_equation_passes():
@@ -179,6 +185,52 @@ def test_check_equation_on_adversarial_inputs():
     for (j, p) in [(0, 0), (0, 4), (2, 3), (4, 4)]:
         for i, k in itertools.product((0, 1), (0, 1)):
             assert check_equation(4, j, p, i, k, grid).verdict
+
+
+def rejecting_theta(monkeypatch, bad_key):
+    """Patch chain's Θ lookup so that the map for ``bad_key`` rejects every point."""
+    from simplexboundary import chain
+    from simplexboundary.theta import NotOnFace
+
+    real_theta = chain.theta
+
+    def rejects(x):
+        raise NotOnFace("rejected for the test")
+
+    monkeypatch.setattr(chain, "theta", lambda key: rejects if key == bad_key else real_theta(key))
+
+
+def test_check_equation_records_rejections_as_witnesses(monkeypatch):
+    rejecting_theta(monkeypatch, ThetaKey(1, 1, 1))
+    grid = small_grid(1, 4)
+    res = check_equation(2, 0, 1, 0, 1, grid)
+    assert not res.verdict
+    assert res.points_checked == len(grid)
+    assert len(res.witnesses) == len(grid)
+    w = res.witnesses[0]
+    assert (w.left, w.right) == ("-", "-")
+    assert w.detail == "NotOnFace: rejected for the test"
+    with pytest.raises(ValueError):
+        check_equation(2, 2, 1, 0, 0, grid)  # index checks still raise
+
+
+def test_check_equation_past_dimension_cap_raises():
+    with pytest.raises(ValueError, match="up to dimension 6"):
+        check_equation(7, 0, 0, 0, 1, [])
+
+
+def test_certificate_reports_rejections_with_pair(monkeypatch):
+    rejecting_theta(monkeypatch, ThetaKey(1, 0, 1))
+    res = check_boundary_squared(
+        chain_of_term(identity_term(2)), CoefficientTuple([9, 4]), small_grid(0)
+    )
+    assert not res.verdict
+    assert res.consumed == res.summands_total == 24
+    # Every pair with a Θ(1,0,1) step on either side fails at the one grid point.
+    details = [w.detail for w in res.witnesses]
+    assert len(details) == 9  # the 12 pairs less the three with i = k = 0
+    assert details[0] == "maps of (0, 0, 0, 1) and (1, 0, 1, 0) disagree: NotOnFace: rejected for the test"
+    assert all(d.startswith("maps of ") for d in details)
 
 
 def test_check_equation_report_shape():

@@ -198,3 +198,47 @@ def test_identical_flags_identical_reports(tmp_path, capsys):
     assert run(capsys, *argv, "--out", str(a))[0] == 0
     assert run(capsys, *argv, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_config_bad_integer_exits_two(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("n=abc\n")
+    code, _, stderr = run(capsys, "verify-equations", "--config", str(config))
+    assert code == 2
+    assert "usage error" in stderr and "'n'" in stderr
+
+
+def test_eval_past_dimension_cap_exits_two(capsys):
+    code, _, stderr = run(capsys, "eval", "--map", "theta:L=1,n=9,i=1", "--point", "[1,0,0,0,0,0,0,0,0,0]")
+    assert code == 2
+    assert "dimension 6" in stderr
+
+
+def test_levels_past_dimension_cap_exit_two(capsys):
+    code, _, stderr = run(capsys, "verify-equations", "--n", "7", "--L", "1")
+    assert code == 2 and "dimension 6" in stderr
+    code, _, stderr = run(capsys, "verify-boundary", "--n", "8", "--m", "9,4")
+    assert code == 2 and "dimension 6" in stderr
+
+
+def test_n_max_below_n_exits_two(capsys):
+    code, stdout, stderr = run(capsys, "verify-equations", "--n", "3", "--n-max", "2")
+    assert code == 2 and "--n-max 2 is below --n 3" in stderr
+    assert "0 instances" not in stdout
+    code, _, stderr = run(capsys, "verify-boundary", "--n", "3", "--n-max", "2")
+    assert code == 2
+
+
+def test_homology_unsupported_family_matches_verify_boundary(capsys):
+    code, _, homology_err = run(capsys, "homology", "--m", "1,1,1")
+    assert code == 2
+    code, _, boundary_err = run(capsys, "verify-boundary", "--m", "1,1,1")
+    assert code == 2
+    assert homology_err == boundary_err
+
+
+def test_format_only_where_it_selects_output():
+    for command in ("verify-equations", "verify-boundary", "homology"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--format", "csv"])
+        assert exc.value.code == 2

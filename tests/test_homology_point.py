@@ -61,14 +61,15 @@ def test_homology_agrees_with_kernel_image_for_various_sums():
 
 
 def test_chain_boundary_reproduces_scalar_maps():
-    m = CoefficientTuple([9, 4])
-    for n in range(7):
-        d = boundary(chain_of_term(point_term(n)), m)
-        scalar = point_boundary_map(n, m)
-        if scalar.is_zero_map:
-            assert d.is_zero
-        else:
-            assert d.terms == ((point_term(n - 1), scalar.factor),)
+    # The maps derived from the chain complex against the closed form:
+    # zero in degree 0 and in odd degrees, ×σ in positive even degrees.
+    for entries in ([9, 4], [1], [1, -1], [-2]):
+        m = CoefficientTuple(entries)
+        for n in range(9):
+            closed_form = 0 if n == 0 or n % 2 else sigma(m)
+            assert point_boundary_map(n, m) == ScalarMap(closed_form)
+            d = boundary(chain_of_term(point_term(n)), m)
+            assert d.terms == (((point_term(n - 1), closed_form),) if closed_form else ())
 
 
 def test_homology_table():

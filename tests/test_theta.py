@@ -26,7 +26,6 @@ from simplexboundary.theta import (
     face_delete,
     face_insert,
     theta,
-    theta1_dim_cap,
     theta1_on_face,
     theta_by_indices,
 )
@@ -135,17 +134,8 @@ def test_theta_cache_returns_same_object():
 
 
 def test_theta_dim_cap():
-    from simplexboundary.theta import reset_theta_cache
-
-    old = theta1_dim_cap()
-    reset_theta_cache()  # the cap guards construction, not cached lookups
-    try:
-        theta1_dim_cap(2)
-        with pytest.raises(ValueError):
-            theta(ThetaKey(1, 3, 1))
-    finally:
-        theta1_dim_cap(old)
-    theta(ThetaKey(1, 3, 1))  # fine again
+    with pytest.raises(ValueError, match="up to dimension 6"):
+        theta(ThetaKey(1, 7, 1))
 
 
 # ---------------------------------------------------------------------------
