@@ -13,7 +13,6 @@ from .geometry import (
     BaryPoint,
     DEFAULT_DENOMINATOR,
     DEFAULT_SEED,
-    Rational,
     RegionSpec,
     canonical_grid,
     center,
@@ -60,7 +59,6 @@ from .theta import (
     theta,
     theta1_full,
     theta1_on_face,
-    theta_by_indices,
 )
 from .chain import (
     Chain,

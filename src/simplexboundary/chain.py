@@ -25,8 +25,10 @@ executable:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from .comfort import SimplexHomeo
 from .geometry import DEFAULT_SEED, BaryPoint, canonical_grid, format_point
 from .theta import FaceMap, ThetaKey, UnsupportedL, face_insert, theta
 
@@ -129,7 +131,9 @@ class FaceInsertStep:
 
 
 @dataclass(frozen=True)
-class ThetaStep:
+class _ThetaPrimitive:
+    """A step through the Θ map of ``key``, a self-map of its simplex."""
+
     key: ThetaKey
 
     @property
@@ -140,31 +144,29 @@ class ThetaStep:
     def cod_dim(self) -> int:
         return self.key.n
 
+    @cached_property
+    def homeo(self) -> SimplexHomeo:
+        """The Θ map, resolved on first use and kept by this step."""
+        return theta(self.key)
+
+
+@dataclass(frozen=True)
+class ThetaStep(_ThetaPrimitive):
     def apply(self, x: BaryPoint) -> BaryPoint:
-        return theta(self.key)(x)
+        return self.homeo(x)
 
     def __str__(self) -> str:
         return f"th({self.key.L},{self.key.n},{self.key.i})"
 
 
 @dataclass(frozen=True)
-class ThetaInverseStep:
-    key: ThetaKey
-
+class ThetaInverseStep(_ThetaPrimitive):
     def __post_init__(self):
         if self.key.i != 0:
             raise ValueError("only the i=0 maps carry exact inverses")
 
-    @property
-    def dom_dim(self) -> int:
-        return self.key.n
-
-    @property
-    def cod_dim(self) -> int:
-        return self.key.n
-
     def apply(self, x: BaryPoint) -> BaryPoint:
-        return theta(self.key).inverse_at(x)
+        return self.homeo.inverse_at(x)
 
     def __str__(self) -> str:
         return f"thinv({self.key.L},{self.key.n},{self.key.i})"
@@ -419,7 +421,7 @@ def check_equation(
     left, right = equation_sides(n, j, p, i, k, L)
     for step in left.precomps + right.precomps:
         if isinstance(step, ThetaStep):
-            theta(step.key)
+            step.homeo  # resolve before the loop: a Θ past the cap raises here
     result = EquationCheck(n=n, L=L, j=j, p=p, i=i, k=k, points_checked=0, grid_meta=grid_meta)
     for x in grid:
         result.points_checked += 1
@@ -444,14 +446,6 @@ def equation_instances(n: int, L: int = 1):
 
 # ---------------------------------------------------------------------------
 # The cancellation certificate
-
-
-@dataclass
-class PairRecord:
-    small: Tuple[int, int, int, int]
-    big: Tuple[int, int, int, int]
-    coefficients: Tuple[int, int]
-    map_agreement: bool
 
 
 @dataclass

@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .chain import (
     CoefficientTuple,
@@ -105,8 +105,15 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _grid_meta(denominator: int, size: int, seed: int) -> dict:
-    return {"denominator": denominator, "size": size, "seed": seed}
+def _grids(args, dims) -> List[Tuple[List[BaryPoint], dict]]:
+    """The canonical grid and its report metadata per dimension, all built
+    before any check runs, so a too small --grid-denominator is a usage error."""
+    try:
+        grids = [canonical_grid(dim, args.grid_denominator, args.seed) for dim in dims]
+    except ValueError as exc:
+        raise UsageError(f"--grid-denominator {args.grid_denominator}: {exc}") from exc
+    meta = {"denominator": args.grid_denominator, "seed": args.seed}
+    return [(grid, {**meta, "size": len(grid)}) for grid in grids]
 
 
 def _check_family(L: int) -> None:
@@ -140,9 +147,8 @@ def cmd_verify_equations(args) -> int:
     _check_levels(args, args.L, args.n_max)
     instances = []
     all_pass = True
-    for n in range(args.n, args.n_max + 1):
-        grid = canonical_grid(n - 1, args.grid_denominator, args.seed)
-        meta = _grid_meta(args.grid_denominator, len(grid), args.seed)
+    levels = range(args.n, args.n_max + 1)
+    for n, (grid, meta) in zip(levels, _grids(args, [n - 1 for n in levels])):
         for (j, p, i, k) in equation_instances(n, args.L):
             res = check_equation(n, j, p, i, k, grid, args.L, grid_meta=meta)
             instances.append(res)
@@ -176,10 +182,9 @@ def cmd_verify_boundary(args) -> int:
     _check_levels(args, m.L, args.n_max - 1)
     runs = []
     all_pass = True
-    for dim in range(args.n, args.n_max + 1):
+    dims = range(args.n, args.n_max + 1)
+    for dim, (grid, meta) in zip(dims, _grids(args, [max(dim - 2, 0) for dim in dims])):
         chain = chain_of_term(identity_term(dim))
-        grid = canonical_grid(max(dim - 2, 0), args.grid_denominator, args.seed)
-        meta = _grid_meta(args.grid_denominator, len(grid), args.seed)
         res = check_boundary_squared(chain, m, grid, grid_meta=meta)
         runs.append(res)
         all_pass &= res.verdict
@@ -225,7 +230,7 @@ def _resolve_map(map_id: str):
             raise UsageError(f"pi_alpha map id needs n and alpha: {map_id!r}") from exc
         if n < 0 or not 0 <= alpha <= Fraction(1, n + 1):
             raise UsageError(f"pi_alpha level {alpha} outside [0, 1/{n + 1}]")
-        return SimplexHomeo(n, lambda x: project_layer(x, alpha), kind="projection")
+        return SimplexHomeo(n, lambda x: project_layer(x, alpha), label="projection")
     if head == "counterexample":
         return counterexample_map()
     raise UsageError(f"unknown map id {map_id!r}")

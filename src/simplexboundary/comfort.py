@@ -1,8 +1,8 @@
 """Permutation-respecting, order-keeping homeomorphisms of the simplex.
 
 The central objects are ``SimplexHomeo`` (an evaluable self-map of the
-standard simplex with an optional exact inverse and a construction
-record) and three constructors:
+standard simplex with an optional exact inverse and a label) and three
+constructors:
 
 * ``lambda_lift`` turns an increasing homeomorphism of [0, 1/(n+1)]
   fixing the endpoints into a homeomorphism of the whole simplex by
@@ -13,6 +13,11 @@ record) and three constructors:
 * ``extend_from_boundary`` extends a boundary homeomorphism inward,
   reparametrizing each ray by a per-ray polygon so that a chosen cross
   is carried onto another cross.
+
+Each construction writes its per-point map once, in a private builder.
+The inverse is the same builder applied to the inverse data: the lift
+of the inverse 1-D map, or the extension of the inverse layer or
+boundary map with the two levels swapped.
 
 ``check_comfort`` verifies the two defining conditions (respecting
 coordinate permutations, keeping the sorted order) on a sample grid and
@@ -50,6 +55,10 @@ from .pl1d import (
 )
 
 
+#: A per-point map of the simplex (or of its boundary).
+PointMap = Callable[[BaryPoint], BaryPoint]
+
+
 class BadDomain(ValueError):
     """The 1-D map does not live on the interval [0, 1/(n+1)]."""
 
@@ -67,28 +76,24 @@ class CrossPropertyViolation(ValueError):
 
 
 class SimplexHomeo:
-    """Evaluable self-map of the n-simplex with declared construction.
+    """Evaluable self-map of the n-simplex with an optional exact inverse.
 
     ``forward`` (and ``inverse`` when available) act on ``BaryPoint``
-    values of the stated dimension.  The map is assumed pure; instances
-    are shareable.
+    values of the stated dimension; ``label`` names the map in messages
+    and reports.  The map is assumed pure; instances are shareable.
     """
 
     def __init__(
         self,
         dim: int,
-        forward: Callable[[BaryPoint], BaryPoint],
-        inverse: Optional[Callable[[BaryPoint], BaryPoint]] = None,
-        kind: str = "custom",
-        pl_map: Optional[PLMap] = None,
-        label: Optional[str] = None,
+        forward: PointMap,
+        inverse: Optional[PointMap] = None,
+        label: str = "custom",
     ):
         self.dim = dim
         self._forward = forward
         self._inverse = inverse
-        self.kind = kind
-        self.pl_map = pl_map
-        self.label = label or kind
+        self.label = label
 
     @property
     def has_inverse(self) -> bool:
@@ -107,31 +112,19 @@ class SimplexHomeo:
         return self._inverse(y)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimplexHomeo(dim={self.dim}, kind={self.kind!r})"
+        return f"SimplexHomeo(dim={self.dim}, label={self.label!r})"
 
 
 def identity_homeo(n: int) -> SimplexHomeo:
-    return SimplexHomeo(n, lambda x: x, lambda y: y, kind="identity")
+    return SimplexHomeo(n, lambda x: x, lambda y: y, label="identity")
 
 
 # ---------------------------------------------------------------------------
 # The lift of a 1-D homeomorphism
 
 
-def lambda_lift(f: PLMap, n: int) -> SimplexHomeo:
-    """Lift an increasing homeomorphism of [0, 1/(n+1)] to the n-simplex.
-
-    Coordinates at most 1/(n+1) are mapped through ``f``; the resulting
-    defect D is redistributed proportionally over the remaining
-    coordinates, which keeps the coordinate sum at exactly 1.  The
-    inverse uses the closed-form reversal of the same redistribution.
-    """
+def _lift(f: PLMap, n: int) -> PointMap:
     cval = Fraction(1, n + 1)
-    if f.domain != (Fraction(0), cval):
-        raise BadDomain(f"lift needs a map on [0, 1/{n + 1}], got [{f.lo}, {f.hi}]")
-    if f.out_lo != 0 or f.out_hi != cval:
-        raise EndpointNotFixed(f"lifted map must fix 0 and 1/{n + 1}")
-    finv = pl_inverse(f)
 
     def forward(x: BaryPoint) -> BaryPoint:
         perm = sort_perm(x)
@@ -153,138 +146,79 @@ def lambda_lift(f: PLMap, n: int) -> SimplexHomeo:
             y[slot] = x[slot] + delta * (x[slot] - cval)
         return BaryPoint(y)
 
-    def inverse(yv: BaryPoint) -> BaryPoint:
-        perm = sort_perm(yv)
-        r = -1
-        while r + 1 <= n and yv[perm[r + 1]] <= cval:
-            r += 1
-        if r == n:
-            return yv
-        x = list(yv)
-        dsum = Fraction(0)
-        for m in range(r + 1):
-            slot = perm[m]
-            x[slot] = pl_eval(finv, yv[slot])
-            dsum += x[slot] - yv[slot]
-        big = sum(yv[perm[m]] - cval for m in range(r + 1, n + 1))
-        delta = dsum / (big - dsum)
-        for m in range(r + 1, n + 1):
-            slot = perm[m]
-            x[slot] = (yv[slot] + delta * cval) / (1 + delta)
-        return BaryPoint(x)
+    return forward
 
-    return SimplexHomeo(n, forward, inverse, kind="lambda-lift", pl_map=f)
+
+def lambda_lift(f: PLMap, n: int) -> SimplexHomeo:
+    """Lift an increasing homeomorphism of [0, 1/(n+1)] to the n-simplex.
+
+    Coordinates at most 1/(n+1) are mapped through ``f``; the resulting
+    defect D is redistributed proportionally over the remaining
+    coordinates, which keeps the coordinate sum at exactly 1.  The
+    inverse is the lift of ``f``'s inverse, whose redistribution undoes
+    the forward one exactly; ``f`` fixes 1/(n+1), so both lifts agree on
+    which coordinates are small.
+    """
+    cval = Fraction(1, n + 1)
+    if f.domain != (Fraction(0), cval):
+        raise BadDomain(f"lift needs a map on [0, 1/{n + 1}], got [{f.lo}, {f.hi}]")
+    if f.out_lo != 0 or f.out_hi != cval:
+        raise EndpointNotFixed(f"lifted map must fix 0 and 1/{n + 1}")
+    return SimplexHomeo(n, _lift(f, n), _lift(pl_inverse(f), n), label="lambda-lift")
 
 
 # ---------------------------------------------------------------------------
 # Extension of a layer homeomorphism
 
 
+def _layer_extension(phi: PointMap, alpha: Fraction, beta: Fraction, n: int) -> PointMap:
+    cval = Fraction(1, n + 1)
+    ctr = center(n)
+    sig = sigma_polygon(alpha, beta, cval)
+
+    def forward(x: BaryPoint) -> BaryPoint:
+        a = min_value(x)
+        if a == cval:
+            return ctr
+        ray_foot = project_boundary(phi(project_layer(x, alpha)))
+        return segment_eval(ctr, ray_foot, pl_eval(sig, a) * (n + 1))
+
+    return forward
+
+
 def extend_from_layer(
-    phi: Callable[[BaryPoint], BaryPoint],
-    alpha,
-    beta,
-    n: int,
-    phi_inverse: Optional[Callable[[BaryPoint], BaryPoint]] = None,
+    phi: PointMap, alpha, beta, n: int, phi_inverse: Optional[PointMap] = None
 ) -> SimplexHomeo:
     """Extend a homeomorphism between the α- and β-layers to the simplex.
 
     Allowed level pairs: 0 < α, β <= 1/(n+1), or α = β = 0.  Each ray
     from the center is mapped onto the ray through the image of its
     layer point; the position on the ray is reparametrized by the
-    three-point polygon matching α to β.
+    three-point polygon matching α to β.  The inverse is the extension
+    of ``phi_inverse`` from β to α.  For α = β = 0 this is the boundary
+    extension with both levels 0, which keeps every ray parameter.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     cval = Fraction(1, n + 1)
     if alpha == beta == 0:
-        pass
-    elif 0 < alpha <= cval and 0 < beta <= cval:
-        if (alpha == cval) != (beta == cval):
-            raise BadLevels(f"a layer homeomorphism cannot pair {alpha} with {beta}")
-    else:
+        return extend_from_boundary(phi, 0, 0, n, phi_inverse)
+    if not (0 < alpha <= cval and 0 < beta <= cval):
         raise BadLevels(f"unsupported layer levels ({alpha}, {beta})")
-
-    if alpha == beta == cval:
+    if (alpha == cval) != (beta == cval):
+        raise BadLevels(f"a layer homeomorphism cannot pair {alpha} with {beta}")
+    if alpha == cval:
         return identity_homeo(n)
-
-    ctr = center(n)
-
-    if alpha == 0:  # boundary case: rays keep their parameter
-        def forward(x: BaryPoint) -> BaryPoint:
-            a = min_value(x)
-            if a == cval:
-                return ctr
-            img = phi(project_boundary(x))
-            return segment_eval(ctr, img, a * (n + 1))
-
-        def inverse(yv: BaryPoint) -> BaryPoint:
-            a = min_value(yv)
-            if a == cval:
-                return ctr
-            src = phi_inverse(project_boundary(yv))
-            return segment_eval(ctr, src, a * (n + 1))
-
-    else:
-        sig = sigma_polygon(alpha, beta, cval)
-        sig_inv = pl_inverse(sig)
-
-        def forward(x: BaryPoint) -> BaryPoint:
-            a = min_value(x)
-            if a == cval:
-                return ctr
-            img = phi(project_layer(x, alpha))
-            ray_foot = project_boundary(img)
-            return segment_eval(ctr, ray_foot, pl_eval(sig, a) * (n + 1))
-
-        def inverse(yv: BaryPoint) -> BaryPoint:
-            a = min_value(yv)
-            if a == cval:
-                return ctr
-            src = phi_inverse(project_layer(yv, beta))
-            ray_foot = project_boundary(src)
-            return segment_eval(ctr, ray_foot, pl_eval(sig_inv, a) * (n + 1))
-
-    return SimplexHomeo(
-        n,
-        forward,
-        inverse if phi_inverse is not None else None,
-        kind="layer-extension",
-    )
+    inverse = None if phi_inverse is None else _layer_extension(phi_inverse, beta, alpha, n)
+    return SimplexHomeo(n, _layer_extension(phi, alpha, beta, n), inverse, label="layer-extension")
 
 
 # ---------------------------------------------------------------------------
 # Extension of a boundary homeomorphism
 
 
-def extend_from_boundary(
-    phi: Callable[[BaryPoint], BaryPoint],
-    alpha,
-    beta,
-    n: int,
-    phi_inverse: Optional[Callable[[BaryPoint], BaryPoint]] = None,
-) -> SimplexHomeo:
-    """Extend a boundary homeomorphism inward, α-cross onto β-cross.
-
-    ``phi`` must be a homeomorphism of the boundary that respects
-    permutations, keeps the order, and carries the boundary part of the
-    α-cross onto the boundary part of the β-cross.  A point at ray
-    parameter t over the boundary point b is sent to parameter tau[b](t)
-    over phi(b), which pins every coordinate equal to α to an image
-    coordinate equal to β.
-    """
-    alpha, beta = Fraction(alpha), Fraction(beta)
+def _boundary_extension(phi: PointMap, alpha: Fraction, beta: Fraction, n: int) -> PointMap:
     cval = Fraction(1, n + 1)
-    if not (0 <= alpha < cval and 0 <= beta < cval):
-        raise BadLevels(f"cross levels ({alpha}, {beta}) must lie in [0, 1/{n + 1})")
     ctr = center(n)
-
-    def ray_map(b: BaryPoint, c: BaryPoint) -> PLMap:
-        try:
-            return tau_polygon(b, c, alpha, beta)
-        except CrossMismatch as exc:
-            raise CrossPropertyViolation(
-                f"boundary image of {format_point(b)} leaves the target cross: {exc}"
-            ) from exc
 
     def forward(x: BaryPoint) -> BaryPoint:
         a = min_value(x)
@@ -294,25 +228,41 @@ def extend_from_boundary(
             return ctr
         b = project_boundary(x)
         c = phi(b)
-        t = a * (n + 1)
-        return segment_eval(ctr, c, pl_eval(ray_map(b, c), t))
+        try:
+            ray_map = tau_polygon(b, c, alpha, beta)
+        except CrossMismatch as exc:
+            raise CrossPropertyViolation(
+                f"boundary image of {format_point(b)} leaves the target cross: {exc}"
+            ) from exc
+        return segment_eval(ctr, c, pl_eval(ray_map, a * (n + 1)))
 
-    def inverse(yv: BaryPoint) -> BaryPoint:
-        a = min_value(yv)
-        if a == 0:
-            return phi_inverse(yv)
-        if a == cval:
-            return ctr
-        c = project_boundary(yv)
-        b = phi_inverse(c)
-        s = a * (n + 1)
-        return segment_eval(ctr, b, pl_eval(pl_inverse(ray_map(b, c)), s))
+    return forward
 
+
+def extend_from_boundary(
+    phi: PointMap, alpha, beta, n: int, phi_inverse: Optional[PointMap] = None
+) -> SimplexHomeo:
+    """Extend a boundary homeomorphism inward, α-cross onto β-cross.
+
+    ``phi`` must be a homeomorphism of the boundary that respects
+    permutations, keeps the order, and carries the boundary part of the
+    α-cross onto the boundary part of the β-cross.  A point at ray
+    parameter t over the boundary point b is sent to parameter tau[b](t)
+    over phi(b), which pins every coordinate equal to α to an image
+    coordinate equal to β.
+
+    The inverse is the extension of ``phi_inverse`` from β to α: the
+    preconditions give b_j < α exactly when c_j < β (lowering b_j to 0
+    never crosses α, and a minimal coordinate maps to 0), so its per-ray
+    polygon over c = phi(b) has the swapped breakpoints of tau[b].
+    """
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    cval = Fraction(1, n + 1)
+    if not (0 <= alpha < cval and 0 <= beta < cval):
+        raise BadLevels(f"cross levels ({alpha}, {beta}) must lie in [0, 1/{n + 1})")
+    inverse = None if phi_inverse is None else _boundary_extension(phi_inverse, beta, alpha, n)
     return SimplexHomeo(
-        n,
-        forward,
-        inverse if phi_inverse is not None else None,
-        kind="boundary-extension",
+        n, _boundary_extension(phi, alpha, beta, n), inverse, label="boundary-extension"
     )
 
 
@@ -495,6 +445,5 @@ def counterexample_map() -> SimplexHomeo:
     phi = lambda y: boundary_map_with(g, y)
     phi_inv = lambda y: boundary_map_with(ginv, y)
     homeo = extend_from_layer(phi, 0, 0, 2, phi_inverse=phi_inv)
-    homeo.kind = "counterexample"
     homeo.label = "counterexample"
     return homeo

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-Rational = Fraction
-
 #: Seed used by every deterministic sampler unless the caller overrides it.
 DEFAULT_SEED = 0x5EED
 
@@ -116,13 +114,6 @@ def sort_perm(x: Sequence[Fraction]) -> Tuple[int, ...]:
     do not depend on the tie-breaking rule.
     """
     return tuple(sorted(range(len(x)), key=lambda m: (x[m], m)))
-
-
-def invert_perm(perm: Sequence[int]) -> Tuple[int, ...]:
-    inv = [0] * len(perm)
-    for pos, slot in enumerate(perm):
-        inv[slot] = pos
-    return tuple(inv)
 
 
 def apply_perm(x: Sequence[Fraction], perm: Sequence[int]) -> BaryPoint:

@@ -143,10 +143,6 @@ def theta(key: ThetaKey) -> SimplexHomeo:
     return homeo
 
 
-def theta_by_indices(L: int, n: int, i: int) -> SimplexHomeo:
-    return theta(ThetaKey(L, n, i))
-
-
 def _first_zero(y: BaryPoint) -> int:
     for m, c in enumerate(y):
         if c == 0:
@@ -203,7 +199,5 @@ def theta1_full(n: int) -> SimplexHomeo:
 
     alpha = Fraction(1, 2 * (n + 1))
     beta = Fraction(1, 2 * (n + 1) + 1)
-    homeo = extend_from_boundary(on_boundary, alpha, beta, n)
-    homeo.kind = "theta-induction"
-    return homeo
+    return extend_from_boundary(on_boundary, alpha, beta, n)
 

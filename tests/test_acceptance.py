@@ -42,7 +42,6 @@ from simplexboundary.theta import (
     face_insert,
     theta,
     theta1_on_face,
-    theta_by_indices,
 )
 
 from test_pl1d import random_homeo
@@ -56,8 +55,8 @@ def test_criterion_1_paper_value_fixtures():
     start = time.monotonic()
     q = F
 
-    assert theta_by_indices(1, 1, 0)(BaryPoint([q(1, 4), q(3, 4)])) == BaryPoint([q(1, 6), q(5, 6)])
-    assert theta_by_indices(1, 1, 1)(BaryPoint([q(1, 4), q(3, 4)])) == BaryPoint([q(1, 5), q(4, 5)])
+    assert theta(ThetaKey(1, 1, 0))(BaryPoint([q(1, 4), q(3, 4)])) == BaryPoint([q(1, 6), q(5, 6)])
+    assert theta(ThetaKey(1, 1, 1))(BaryPoint([q(1, 4), q(3, 4)])) == BaryPoint([q(1, 5), q(4, 5)])
     assert pl_eval(phi_n0(2), q(1, 6)) == q(1, 8)
     assert face_insert(FaceMap(1, 1, 1, 0), BaryPoint([1])) == BaryPoint([q(1, 4), q(3, 4)])
 
@@ -65,16 +64,16 @@ def test_criterion_1_paper_value_fixtures():
     one = BaryPoint([1])
     fig3 = face_insert(
         FaceMap(1, 2, 0, 0),
-        theta_by_indices(1, 1, 0)(face_insert(FaceMap(1, 1, 1, 0), one)),
+        theta(ThetaKey(1, 1, 0))(face_insert(FaceMap(1, 1, 1, 0), one)),
     )
     assert fig3 == BaryPoint([0, q(1, 6), q(5, 6)])
     fig4 = face_insert(
         FaceMap(1, 2, 1, 0),
-        theta_by_indices(1, 1, 1)(face_insert(FaceMap(1, 1, 1, 0), one)),
+        theta(ThetaKey(1, 1, 1))(face_insert(FaceMap(1, 1, 1, 0), one)),
     )
     assert fig4 == BaryPoint([q(1, 6), q(1, 6), q(2, 3)])
 
-    assert theta_by_indices(1, 2, 1)(BaryPoint([0, q(1, 6), q(5, 6)])) == BaryPoint(
+    assert theta(ThetaKey(1, 2, 1))(BaryPoint([0, q(1, 6), q(5, 6)])) == BaryPoint(
         [0, q(1, 7), q(6, 7)]
     )
 
@@ -169,8 +168,8 @@ def test_criterion_4_lift_property_suite():
 def test_criterion_5_cross_transport_and_face_consistency():
     for n in (2, 3, 4):
         alpha = F(1, 2 * (n + 1))
-        t0 = theta_by_indices(1, n, 0)
-        t1 = theta_by_indices(1, n, 1)
+        t0 = theta(ThetaKey(1, n, 0))
+        t1 = theta(ThetaKey(1, n, 1))
         for x in cross_samples(n, alpha, 12):
             assert classify(t0(x), RegionSpec.cross(F(1, 2 * (n + 2))))
             assert classify(t1(x), RegionSpec.cross(F(1, 2 * (n + 1) + 1)))
@@ -186,7 +185,7 @@ def test_criterion_6_comfort_conformance():
 
     for n in (1, 2, 3, 4):
         for i in (0, 1):
-            t = theta_by_indices(1, n, i)
+            t = theta(ThetaKey(1, n, i))
             rep = check_comfort(t, grids[n], map_id=t.label)
             assert rep.passed, rep.to_json_text()
         t = theta(ThetaKey(0, n, 0))

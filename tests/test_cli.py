@@ -242,3 +242,21 @@ def test_format_only_where_it_selects_output():
         with pytest.raises(SystemExit) as exc:
             main([command, "--format", "csv"])
         assert exc.value.code == 2
+
+
+def test_verify_equations_grid_denominator_too_small_exits_two(capsys):
+    code, stdout, stderr = run(
+        capsys, "verify-equations", "--L", "0", "--n", "1", "--n-max", "3", "--grid-denominator", "2"
+    )
+    assert code == 2
+    assert "usage error: --grid-denominator 2" in stderr
+    assert stdout == ""  # rejected before any level runs
+
+
+def test_verify_boundary_grid_denominator_too_small_exits_two(capsys):
+    code, stdout, stderr = run(
+        capsys, "verify-boundary", "--m", "1", "--n", "3", "--grid-denominator", "1"
+    )
+    assert code == 2
+    assert "usage error: --grid-denominator 1" in stderr
+    assert stdout == ""

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexboundary.comfort import (
     BadDomain,
@@ -245,6 +247,56 @@ def test_boundary_extension_properties():
 
 
 # ---------------------------------------------------------------------------
+# Inverse laws as properties
+
+DEN = 48  # breakpoints and cross levels live on the grid (1/(n+1)) * k/DEN
+
+
+@st.composite
+def lifted_maps(draw):
+    """(n, f) with f a random increasing polygon fixing 0 and 1/(n+1)."""
+    n = draw(st.integers(1, 4))
+    c = F(1, n + 1)
+    k = draw(st.integers(0, 4))
+    inner = st.lists(st.integers(1, DEN - 1), min_size=k, max_size=k, unique=True)
+    xs, ys = sorted(draw(inner)), sorted(draw(inner))
+    pts = [(0, 0), (c, c)] + [(c * F(a, DEN), c * F(b, DEN)) for a, b in zip(xs, ys)]
+    return n, polygon(pts)
+
+
+@st.composite
+def points(draw, n):
+    """A rational point of the n-simplex; zeros and ties are frequent."""
+    parts = draw(st.lists(st.integers(0, 12), min_size=n + 1, max_size=n + 1))
+    if not any(parts):
+        parts[draw(st.integers(0, n))] = 1
+    return BaryPoint(F(p, sum(parts)) for p in parts)
+
+
+def _assert_inverse_laws(h, x, y):
+    assert h.inverse_at(h(x)) == x
+    assert h(h.inverse_at(y)) == y
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_lift_inverse_laws_property(data):
+    n, f = data.draw(lifted_maps())
+    _assert_inverse_laws(lambda_lift(f, n), data.draw(points(n)), data.draw(points(n)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_boundary_extension_inverse_laws_property(data):
+    n, f = data.draw(lifted_maps())
+    lifted = lambda_lift(f, n)
+    alpha = F(data.draw(st.integers(0, DEN - 1)), DEN * (n + 1))
+    beta = pl_eval(f, alpha)
+    ext = extend_from_boundary(lifted, alpha, beta, n, phi_inverse=lifted.inverse_at)
+    _assert_inverse_laws(ext, data.draw(points(n)), data.draw(points(n)))
+
+
+# ---------------------------------------------------------------------------
 # Conformance checking
 
 
@@ -262,7 +314,7 @@ def test_check_comfort_flags_rotation():
         2,
         lambda x: apply_perm(x, (1, 2, 0)),
         lambda y: apply_perm(y, (2, 0, 1)),
-        kind="rotation",
+        label="rotation",
     )
     report = check_comfort(rot, small_grid(2))
     assert not report.passed

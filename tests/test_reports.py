@@ -1,15 +1,36 @@
-"""Byte-exact CLI reports.
+"""Byte-exact CLI reports and map transcripts.
 
-Each case runs one command with ``--out`` and pins the SHA-256 of the
-written report followed by everything the command printed.  A refactor
-that keeps these digests keeps every report byte-identical.
+Each CLI case runs one command with ``--out`` and pins the SHA-256 of the
+written report followed by everything the command printed.  Each map
+case pins the SHA-256 of a transcript of the map and its exact inverse
+on fixed points.  A refactor that keeps these digests keeps every report
+and every map value byte-identical.
 """
 
 import hashlib
+from fractions import Fraction as F
 
 import pytest
 
 from simplexboundary.cli import main
+from simplexboundary.comfort import (
+    counterexample_map,
+    extend_from_boundary,
+    extend_from_layer,
+    lambda_lift,
+)
+from simplexboundary.geometry import (
+    BaryPoint,
+    boundary_samples,
+    center,
+    cross_samples,
+    format_point,
+    layer_samples,
+    random_rational_points,
+    vertex,
+)
+from simplexboundary.pl1d import phi_n0, sigma_polygon
+from simplexboundary.theta import ThetaKey, theta
 
 REPORTS = {
     ("verify-boundary", "--m", "9,4", "--n", "2", "--n-max", "3"):
@@ -31,6 +52,8 @@ REPORTS = {
         "--point", "[0,1/6,5/6]", "--point", "[1/6,1/6,2/3]",
     ):
         "a863369727ff7c02bdfcea917aeb693ad11f09a57afd110816c76af79d8a9512",
+    ("eval", "--map", "counterexample", "--point", "[1/12,1/4,2/3]", "--point", "[0,1/8,7/8]"):
+        "fa034d856670ea302e7706314765dcb626236c2456d5180ab0213b7c2f933910",
 }
 
 
@@ -40,3 +63,100 @@ def test_report_bytes(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == 0
     data = out.read_bytes() + capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == REPORTS[argv]
+
+
+# ---------------------------------------------------------------------------
+# Forward and inverse transcripts of the simplex homeomorphisms
+
+
+def _tied(n):
+    """n equal coordinates 1/(2(n+1)) and a zero with coordinates tied at
+    1/(n+1): the breakpoint of the phi_n0 family and the lift threshold."""
+    half = F(1, 2 * (n + 1))
+    pts = [BaryPoint([half] * n + [1 - n * half])]
+    if n >= 2:
+        c = F(1, n + 1)
+        pts.append(BaryPoint([0] + [c] * (n - 1) + [2 * c]))
+    return pts
+
+
+def _transcript_points(n, levels):
+    pts = [center(n), vertex(n, 0), *_tied(n)]
+    pts += boundary_samples(n, 3, seed=7)
+    pts += random_rational_points(n, 3, seed=7, max_denominator=400)
+    for level in levels:
+        pts += cross_samples(n, level, 2, seed=7)
+        pts += layer_samples(n, level, 2, seed=7)
+    return pts
+
+
+def _lift_of(alpha, beta, n):
+    return lambda_lift(sigma_polygon(alpha, beta, F(1, n + 1)), n)
+
+
+def _zero_layer(n):
+    lift = lambda_lift(phi_n0(n), n)
+    return extend_from_layer(lift, 0, 0, n, lift.inverse_at)
+
+
+def _maps():
+    for n in range(1, 7):
+        yield f"theta:L=1,n={n},i=0", theta(ThetaKey(1, n, 0)), (F(1, 2 * (n + 1)),)
+    for n in (2, 3, 4):
+        lift = _lift_of(F(1, 6), F(1, 8), n)
+        yield (
+            f"layer:n={n}",
+            extend_from_layer(lift, F(1, 6), F(1, 8), n, lift.inverse_at),
+            (F(1, 6), F(1, 8)),
+        )
+        lift = _lift_of(F(1, 6), F(1, 7), n)
+        yield (
+            f"boundary:n={n}",
+            extend_from_boundary(lift, F(1, 6), F(1, 7), n, lift.inverse_at),
+            (F(1, 6), F(1, 7)),
+        )
+    for n in (2, 3):
+        yield f"layer0:n={n}", _zero_layer(n), ()
+    yield "counterexample", counterexample_map(), (F(1, 8), F(1, 16))
+
+
+def _outcome(fn, x):
+    try:
+        return format_point(fn(x))
+    except ValueError as exc:
+        return f"!{type(exc).__name__}"
+
+
+def transcript(homeo, levels):
+    """One line per point: the point, its image and its preimage."""
+    lines = []
+    for x in _transcript_points(homeo.dim, levels):
+        lines.append(f"{format_point(x)} {_outcome(homeo, x)} {_outcome(homeo.inverse_at, x)}\n")
+    return "".join(lines)
+
+
+TRANSCRIPTS = {
+    "theta:L=1,n=1,i=0": "4ddbc9b0e03b648c122d7a64eedc5c311c6e2fd4554f5fe6f9d783b154ce2a19",
+    "theta:L=1,n=2,i=0": "92f364585bc7f7cdbeca1af139cbb8e1fc1479bcf9e6839e670f5c6c35c4a42a",
+    "theta:L=1,n=3,i=0": "5f596f817d9e64410b26a09d5df820a44d33e172eb887bdc60185b4fe79922dc",
+    "theta:L=1,n=4,i=0": "c24a4101f6e75adccc1701952106e5efa2102f94fcd0a46c4a090a2b9ad03ecf",
+    "theta:L=1,n=5,i=0": "a25e8b71948025c3baa13806a5c720c2fad0ea52c877550fcc4504ae1c5d082e",
+    "theta:L=1,n=6,i=0": "871b980cbee52a7c7cf6b5b4fda13e89c9b9d98a3b4d4fd65a45e40b43e5dba9",
+    "layer:n=2": "3add27ce6a57edcd9e530bdf13179565df585e83d04eae7de7590015eefd72e4",
+    "boundary:n=2": "06cac64d7a3d133eb0f83fa4e0830daef08ae0e87c73091c6250c079b36b9879",
+    "layer:n=3": "fc524da420025521b46c8686c35d2285a3460f43f8b20cee3a05a79325cc453a",
+    "boundary:n=3": "a44c2adb8d9daf11a0f1fc1e310ed36b68eec03fdf96e8e33f4b954b2e4a106a",
+    "layer:n=4": "4b2a769ded765fa57572487c93dfcd4edbfa2138d0243254ec999ca58c8cca34",
+    "boundary:n=4": "76bbc50e98302a687f5c7c1058016a64b05312ee7c37fac77e7072c99a3c69c7",
+    "layer0:n=2": "fc518b73abb700ba345c2ad2e5d15049e6a5decd0f2ada4c6ac452d407d9263d",
+    "layer0:n=3": "9a0f173de7dfec6121f5ecb8b597d26a8572f969dd060c0657b1ecef30f888e8",
+    "counterexample": "23214b4bab97b528c5cc84938d5701f7d79f6b85ecc80af887cb30456f1d2029",
+}
+
+
+def test_map_transcripts():
+    digests = {
+        name: hashlib.sha256(transcript(homeo, levels).encode("utf-8")).hexdigest()
+        for name, homeo, levels in _maps()
+    }
+    assert digests == TRANSCRIPTS

@@ -27,7 +27,6 @@ from simplexboundary.theta import (
     face_insert,
     theta,
     theta1_on_face,
-    theta_by_indices,
 )
 
 
@@ -114,15 +113,15 @@ def test_theta_unsupported_level():
 
 
 def test_theta_base_values():
-    assert theta_by_indices(1, 1, 0)(BaryPoint([F(1, 4), F(3, 4)])) == BaryPoint([F(1, 6), F(5, 6)])
-    assert theta_by_indices(1, 1, 1)(BaryPoint([F(1, 4), F(3, 4)])) == BaryPoint([F(1, 5), F(4, 5)])
-    assert theta_by_indices(1, 2, 1)(BaryPoint([0, F(1, 6), F(5, 6)])) == BaryPoint(
+    assert theta(ThetaKey(1, 1, 0))(BaryPoint([F(1, 4), F(3, 4)])) == BaryPoint([F(1, 6), F(5, 6)])
+    assert theta(ThetaKey(1, 1, 1))(BaryPoint([F(1, 4), F(3, 4)])) == BaryPoint([F(1, 5), F(4, 5)])
+    assert theta(ThetaKey(1, 2, 1))(BaryPoint([0, F(1, 6), F(5, 6)])) == BaryPoint(
         [0, F(1, 7), F(6, 7)]
     )
 
 
 def test_theta_dim1_matches_diagonal_kappa():
-    t = theta_by_indices(1, 1, 1)
+    t = theta(ThetaKey(1, 1, 1))
     k = kappa()
     for a in range(0, 13):
         x = F(a, 12)
@@ -173,7 +172,7 @@ def test_theta1_face_consistency_on_overlaps():
 
 
 def test_theta1_full_restricts_to_faces():
-    t = theta_by_indices(1, 2, 1)
+    t = theta(ThetaKey(1, 2, 1))
     for y in cross_samples(2, F(0), 12):
         j = list(y).index(F(0))
         assert t(y) == theta1_on_face(2, j, y)
@@ -181,7 +180,7 @@ def test_theta1_full_restricts_to_faces():
 
 def test_theta1_cross_transport():
     for n in (2, 3):
-        t = theta_by_indices(1, n, 1)
+        t = theta(ThetaKey(1, n, 1))
         alpha = F(1, 2 * (n + 1))
         beta = F(1, 2 * (n + 1) + 1)
         for x in cross_samples(n, alpha, 8):
@@ -193,7 +192,7 @@ def test_theta1_cross_transport():
 
 def test_theta0_cross_transport():
     for n in (2, 3):
-        t = theta_by_indices(1, n, 0)
+        t = theta(ThetaKey(1, n, 0))
         alpha = F(1, 2 * (n + 1))
         beta = F(1, 2 * (n + 2))
         for x in cross_samples(n, alpha, 8):
@@ -203,20 +202,20 @@ def test_theta0_cross_transport():
 def test_theta_fixes_center():
     for n in (1, 2, 3):
         for i in (0, 1):
-            assert theta_by_indices(1, n, i)(center(n)) == center(n)
+            assert theta(ThetaKey(1, n, i))(center(n)) == center(n)
 
 
 def test_theta_comfort_small():
     for n in (1, 2):
         for i in (0, 1):
-            t = theta_by_indices(1, n, i)
+            t = theta(ThetaKey(1, n, i))
             report = check_comfort(t, small_grid(n, 8), map_id=t.label)
             assert report.passed, report.to_json_text()
 
 
 def test_theta_preserves_min_ordering():
     # Order-keeping in particular sends each layer into a single layer.
-    t = theta_by_indices(1, 2, 1)
+    t = theta(ThetaKey(1, 2, 1))
     for x in small_grid(2, 8):
         y = t(x)
         assert (min_value(x) == 0) == (min_value(y) == 0)
