@@ -131,7 +131,7 @@ class FaceInsertStep:
 
 
 @dataclass(frozen=True)
-class _ThetaPrimitive:
+class ThetaStep:
     """A step through the Θ map of ``key``, a self-map of its simplex."""
 
     key: ThetaKey
@@ -149,9 +149,6 @@ class _ThetaPrimitive:
         """The Θ map, resolved on first use and kept by this step."""
         return theta(self.key)
 
-
-@dataclass(frozen=True)
-class ThetaStep(_ThetaPrimitive):
     def apply(self, x: BaryPoint) -> BaryPoint:
         return self.homeo(x)
 
@@ -159,20 +156,7 @@ class ThetaStep(_ThetaPrimitive):
         return f"th({self.key.L},{self.key.n},{self.key.i})"
 
 
-@dataclass(frozen=True)
-class ThetaInverseStep(_ThetaPrimitive):
-    def __post_init__(self):
-        if self.key.i != 0:
-            raise ValueError("only the i=0 maps carry exact inverses")
-
-    def apply(self, x: BaryPoint) -> BaryPoint:
-        return self.homeo.inverse_at(x)
-
-    def __str__(self) -> str:
-        return f"thinv({self.key.L},{self.key.n},{self.key.i})"
-
-
-Primitive = Union[FaceInsertStep, ThetaStep, ThetaInverseStep]
+Primitive = Union[FaceInsertStep, ThetaStep]
 
 
 @dataclass(frozen=True)

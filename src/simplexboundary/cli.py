@@ -29,7 +29,7 @@ from .chain import (
     equation_instances,
     identity_term,
 )
-from .comfort import SimplexHomeo, counterexample_map
+from .comfort import PointMap, counterexample_map
 from .geometry import (
     DEFAULT_DENOMINATOR,
     DEFAULT_SEED,
@@ -108,6 +108,8 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
 def _grids(args, dims) -> List[Tuple[List[BaryPoint], dict]]:
     """The canonical grid and its report metadata per dimension, all built
     before any check runs, so a too small --grid-denominator is a usage error."""
+    if args.grid_denominator < 1:
+        raise UsageError(f"--grid-denominator {args.grid_denominator} must be at least 1")
     try:
         grids = [canonical_grid(dim, args.grid_denominator, args.seed) for dim in dims]
     except ValueError as exc:
@@ -206,7 +208,8 @@ def cmd_verify_boundary(args) -> int:
     return 0 if all_pass else 1
 
 
-def _resolve_map(map_id: str):
+def _resolve_map(map_id: str) -> Tuple[int, PointMap]:
+    """The dimension and the per-point map named by ``map_id``."""
     head, _, params_text = map_id.partition(":")
     params = {}
     if params_text:
@@ -217,12 +220,12 @@ def _resolve_map(map_id: str):
             params[key.strip()] = val.strip()
     if head == "theta":
         try:
-            return theta(ThetaKey(int(params["L"]), int(params["n"]), int(params["i"])))
+            homeo = theta(ThetaKey(int(params["L"]), int(params["n"]), int(params["i"])))
         except KeyError as exc:
             raise UsageError(f"theta map id needs L, n, i: {map_id!r}") from exc
         except ValueError as exc:
             raise UsageError(f"bad theta map id {map_id!r}: {exc}") from exc
-    if head == "pi_alpha":
+    elif head == "pi_alpha":
         try:
             n = int(params["n"])
             alpha = parse_rational(params["alpha"])
@@ -230,15 +233,17 @@ def _resolve_map(map_id: str):
             raise UsageError(f"pi_alpha map id needs n and alpha: {map_id!r}") from exc
         if n < 0 or not 0 <= alpha <= Fraction(1, n + 1):
             raise UsageError(f"pi_alpha level {alpha} outside [0, 1/{n + 1}]")
-        return SimplexHomeo(n, lambda x: project_layer(x, alpha), label="projection")
-    if head == "counterexample":
-        return counterexample_map()
-    raise UsageError(f"unknown map id {map_id!r}")
+        return n, lambda x: project_layer(x, alpha)
+    elif head == "counterexample":
+        homeo = counterexample_map()
+    else:
+        raise UsageError(f"unknown map id {map_id!r}")
+    return homeo.dim, homeo
 
 
 def cmd_eval(args) -> int:
     _apply_config(args)
-    homeo = _resolve_map(args.map)
+    dim, fn = _resolve_map(args.map)
     points = []
     for raw in args.point:
         try:
@@ -247,14 +252,14 @@ def cmd_eval(args) -> int:
             raise UsageError(f"cannot parse point {raw!r}: {exc}") from exc
     values = []
     for point in points:
-        if point.dim != homeo.dim:
+        if point.dim != dim:
             print(
-                f"error: map expects dimension {homeo.dim}, point has dimension {point.dim}",
+                f"error: map expects dimension {dim}, point has dimension {point.dim}",
                 file=sys.stderr,
             )
             return 1
         try:
-            values.append(homeo(point))
+            values.append(fn(point))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -1,7 +1,7 @@
 """Permutation-respecting, order-keeping homeomorphisms of the simplex.
 
 The central objects are ``SimplexHomeo`` (an evaluable self-map of the
-standard simplex with an optional exact inverse and a label) and three
+standard simplex with its exact inverse and a label) and three
 constructors:
 
 * ``lambda_lift`` turns an increasing homeomorphism of [0, 1/(n+1)]
@@ -20,8 +20,9 @@ of the inverse 1-D map, or the extension of the inverse layer or
 boundary map with the two levels swapped.
 
 ``check_comfort`` verifies the two defining conditions (respecting
-coordinate permutations, keeping the sorted order) on a sample grid and
-reports every violation with a witness.
+coordinate permutations, keeping the sorted order) and the exact round
+trip through the inverse on a sample grid, and reports every violation
+with a witness.
 """
 
 from __future__ import annotations
@@ -76,28 +77,18 @@ class CrossPropertyViolation(ValueError):
 
 
 class SimplexHomeo:
-    """Evaluable self-map of the n-simplex with an optional exact inverse.
+    """Evaluable self-map of the n-simplex with its exact inverse.
 
-    ``forward`` (and ``inverse`` when available) act on ``BaryPoint``
-    values of the stated dimension; ``label`` names the map in messages
-    and reports.  The map is assumed pure; instances are shareable.
+    ``forward`` and ``inverse`` act on ``BaryPoint`` values of the stated
+    dimension; ``label`` names the map in messages and reports.  The map
+    is assumed pure; instances are shareable.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        forward: PointMap,
-        inverse: Optional[PointMap] = None,
-        label: str = "custom",
-    ):
+    def __init__(self, dim: int, forward: PointMap, inverse: PointMap, label: str = "custom"):
         self.dim = dim
         self._forward = forward
         self._inverse = inverse
         self.label = label
-
-    @property
-    def has_inverse(self) -> bool:
-        return self._inverse is not None
 
     def __call__(self, x: BaryPoint) -> BaryPoint:
         if len(x) != self.dim + 1:
@@ -105,8 +96,6 @@ class SimplexHomeo:
         return self._forward(x)
 
     def inverse_at(self, y: BaryPoint) -> BaryPoint:
-        if self._inverse is None:
-            raise ValueError(f"{self.label} carries no exact inverse")
         if len(y) != self.dim + 1:
             raise ValueError(f"{self.label} expects dimension {self.dim}, got {len(y) - 1}")
         return self._inverse(y)
@@ -186,9 +175,7 @@ def _layer_extension(phi: PointMap, alpha: Fraction, beta: Fraction, n: int) -> 
     return forward
 
 
-def extend_from_layer(
-    phi: PointMap, alpha, beta, n: int, phi_inverse: Optional[PointMap] = None
-) -> SimplexHomeo:
+def extend_from_layer(phi: PointMap, alpha, beta, n: int, phi_inverse: PointMap) -> SimplexHomeo:
     """Extend a homeomorphism between the α- and β-layers to the simplex.
 
     Allowed level pairs: 0 < α, β <= 1/(n+1), or α = β = 0.  Each ray
@@ -208,8 +195,9 @@ def extend_from_layer(
         raise BadLevels(f"a layer homeomorphism cannot pair {alpha} with {beta}")
     if alpha == cval:
         return identity_homeo(n)
-    inverse = None if phi_inverse is None else _layer_extension(phi_inverse, beta, alpha, n)
-    return SimplexHomeo(n, _layer_extension(phi, alpha, beta, n), inverse, label="layer-extension")
+    forward = _layer_extension(phi, alpha, beta, n)
+    inverse = _layer_extension(phi_inverse, beta, alpha, n)
+    return SimplexHomeo(n, forward, inverse, label="layer-extension")
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +227,7 @@ def _boundary_extension(phi: PointMap, alpha: Fraction, beta: Fraction, n: int) 
     return forward
 
 
-def extend_from_boundary(
-    phi: PointMap, alpha, beta, n: int, phi_inverse: Optional[PointMap] = None
-) -> SimplexHomeo:
+def extend_from_boundary(phi: PointMap, alpha, beta, n: int, phi_inverse: PointMap) -> SimplexHomeo:
     """Extend a boundary homeomorphism inward, α-cross onto β-cross.
 
     ``phi`` must be a homeomorphism of the boundary that respects
@@ -260,10 +246,9 @@ def extend_from_boundary(
     cval = Fraction(1, n + 1)
     if not (0 <= alpha < cval and 0 <= beta < cval):
         raise BadLevels(f"cross levels ({alpha}, {beta}) must lie in [0, 1/{n + 1})")
-    inverse = None if phi_inverse is None else _boundary_extension(phi_inverse, beta, alpha, n)
-    return SimplexHomeo(
-        n, _boundary_extension(phi, alpha, beta, n), inverse, label="boundary-extension"
-    )
+    forward = _boundary_extension(phi, alpha, beta, n)
+    inverse = _boundary_extension(phi_inverse, beta, alpha, n)
+    return SimplexHomeo(n, forward, inverse, label="boundary-extension")
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +328,14 @@ def check_comfort(
     seed: int = DEFAULT_SEED,
     map_id: Optional[str] = None,
 ) -> ComfortReport:
-    """Check permutation-respect and order-keeping on every grid point.
+    """Check permutation-respect, order-keeping and the exact round trip
+    through the inverse on every grid point.
 
-    Violations are collected, not raised.  Bijectivity is spot-checked:
-    through the exact inverse when one is stored, otherwise by scanning
-    the sampled values for collisions.
+    Violations are collected, not raised.
     """
     n = homeo.dim
     report = ComfortReport(map_id=map_id or homeo.label, dim=n)
     perms = _test_permutations(n, seed)
-    seen = {}
     for x in grid:
         y = homeo(x)
         report.samples_checked += 1
@@ -382,29 +365,16 @@ def check_comfort(
                         )
                     )
 
-        if homeo.has_inverse:
-            back = homeo.inverse_at(y)
-            if back != x:
-                report.bijectivity_spot_failures.append(
-                    ComfortViolation(
-                        kind="bijectivity",
-                        witness=f"x={format_point(x)}",
-                        expected=format_point(x),
-                        actual=format_point(back),
-                    )
+        back = homeo.inverse_at(y)
+        if back != x:
+            report.bijectivity_spot_failures.append(
+                ComfortViolation(
+                    kind="bijectivity",
+                    witness=f"x={format_point(x)}",
+                    expected=format_point(x),
+                    actual=format_point(back),
                 )
-        else:
-            key = tuple(y)
-            if key in seen and seen[key] != tuple(x):
-                report.bijectivity_spot_failures.append(
-                    ComfortViolation(
-                        kind="bijectivity",
-                        witness=f"x={format_point(x)} collides with {format_point(BaryPoint(seen[key]))}",
-                        expected="distinct images",
-                        actual=format_point(y),
-                    )
-                )
-            seen[key] = tuple(x)
+            )
     return report
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
-from .geometry import BaryPoint, format_rational, parse_rational
+from .geometry import BaryPoint, format_rational
 
 Breakpoint = Tuple[Fraction, Fraction]
 
@@ -242,21 +242,3 @@ def tau_polygon(b: BaryPoint, c: BaryPoint, alpha, beta) -> PLMap:
             pairs.add(((alpha - bj) / (cv - bj), (beta - cj) / (cv - cj)))
     return polygon(pairs, domain=(0, 1))
 
-
-# ---------------------------------------------------------------------------
-# Fixture format: one breakpoint pair per line, "p/q r/s", ordered.
-
-
-def format_plmap_fixture(f: PLMap) -> str:
-    return "\n".join(f"{format_rational(u)} {format_rational(v)}" for u, v in f.points) + "\n"
-
-
-def parse_plmap_fixture(text: str) -> PLMap:
-    pairs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        u, v = line.split()
-        pairs.append((parse_rational(u), parse_rational(v)))
-    return polygon(pairs)

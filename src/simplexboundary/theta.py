@@ -10,7 +10,9 @@ homeomorphism that precomposes it inside the boundary operator:
 * L = 1, i = 1: built by induction on the dimension — a seven-map
   composite defines it on the boundary faces, and the boundary
   extension carries it inward so that the 1/(2(n+1))-cross lands on the
-  1/(2(n+1)+1)-cross.
+  1/(2(n+1)+1)-cross.  The composite is written once, as a tuple of
+  invertible steps; its inverse runs the inverted steps backwards, so
+  every member of the family carries an exact inverse.
 
 Maps are constructed once per key and cached; after construction the
 cache is read-only and safe to share.  The inductive family is built up
@@ -150,16 +152,32 @@ def _first_zero(y: BaryPoint) -> int:
     raise NotOnFace(f"{format_point(y)} has no zero coordinate")
 
 
-def theta1_on_face(dim: int, j: int, y: BaryPoint) -> BaryPoint:
-    """Value of the inductive map on the boundary face with slot j zero.
+def _apply(key: ThetaKey, x: BaryPoint) -> BaryPoint:
+    return theta(key)(x)
 
-    For j = 0 this is the seven-map composite: peel off the zero, run the
-    previous dimension's pair of maps through the lift inverse, insert the
-    distinguished cross value, lift once more, and replace the zero.  For
-    j > 0 the value is obtained by conjugating with the transposition that
-    swaps slots 0 and j; all seven maps respect permutations, so every
-    face yields consistent values on overlaps.
-    """
+
+def _unapply(key: ThetaKey, y: BaryPoint) -> BaryPoint:
+    return theta(key).inverse_at(y)
+
+
+def _face0_steps(dim: int) -> tuple:
+    """The seven-map composite on the face with slot 0 zero, as (map,
+    inverse, argument) triples in order: peel off the zero, undo the
+    previous dimension's lift, apply its inductive map, insert the
+    distinguished cross value, lift once more, and trade the inserted
+    value for the zero."""
+    return (
+        (face_delete, face_insert, FaceMap(1, dim, 0, 0)),
+        (_unapply, _apply, ThetaKey(1, dim - 1, 0)),
+        (_apply, _unapply, ThetaKey(1, dim - 1, 1)),
+        (face_insert, face_delete, FaceMap(1, dim, 1, 0)),
+        (_apply, _unapply, ThetaKey(1, dim, 0)),
+        (face_insert, face_delete, FaceMap(1, dim + 1, 0, 0)),
+        (face_delete, face_insert, FaceMap(1, dim + 1, 1, 1)),
+    )
+
+
+def _on_face(dim: int, j: int, y: BaryPoint, backwards: bool) -> BaryPoint:
     if dim < 2:
         raise ValueError("the inductive face construction starts at dimension 2")
     if y.dim != dim:
@@ -168,16 +186,26 @@ def theta1_on_face(dim: int, j: int, y: BaryPoint) -> BaryPoint:
         raise NotOnFace(f"slot {j} of {format_point(y)} is not zero")
     if j != 0:
         swap = transposition(dim, 0, j)
-        return apply_perm(theta1_on_face(dim, 0, apply_perm(y, swap)), swap)
+        return apply_perm(_on_face(dim, 0, apply_perm(y, swap), backwards), swap)
+    steps = _face0_steps(dim)
+    if backwards:
+        for _, inverse, arg in reversed(steps):
+            y = inverse(arg, y)
+    else:
+        for forward, _, arg in steps:
+            y = forward(arg, y)
+    return y
 
-    low = dim - 1
-    rest = face_delete(FaceMap(1, dim, 0, 0), y)
-    x = theta(ThetaKey(1, low, 0)).inverse_at(rest)
-    z = theta(ThetaKey(1, low, 1))(x)
-    lifted = face_insert(FaceMap(1, dim, 1, 0), z)
-    moved = theta(ThetaKey(1, dim, 0))(lifted)
-    padded = face_insert(FaceMap(1, dim + 1, 0, 0), moved)
-    return face_delete(FaceMap(1, dim + 1, 1, 1), padded)
+
+def theta1_on_face(dim: int, j: int, y: BaryPoint) -> BaryPoint:
+    """Value of the inductive map on the boundary face with slot j zero.
+
+    For j = 0 this is the seven-map composite of ``_face0_steps``.  For
+    j > 0 the value is obtained by conjugating with the transposition that
+    swaps slots 0 and j; all seven maps respect permutations, so every
+    face yields consistent values on overlaps.
+    """
+    return _on_face(dim, j, y, backwards=False)
 
 
 def theta1_full(n: int) -> SimplexHomeo:
@@ -185,19 +213,20 @@ def theta1_full(n: int) -> SimplexHomeo:
 
     The boundary values come from ``theta1_on_face``; the boundary
     extension with levels 1/(2(n+1)) and 1/(2(n+1)+1) produces a
-    homeomorphism carrying the first cross onto the second.
+    homeomorphism carrying the first cross onto the second.  Its exact
+    inverse extends the boundary inverse, which runs the face composite
+    backwards: the inverted steps in reverse order, under the same
+    transposition.
     """
     if n < 2:
         raise ValueError("the inductive construction starts at dimension 2")
-    # Force construction of the three maps the composite consults.
-    theta(ThetaKey(1, n - 1, 0))
-    theta(ThetaKey(1, n - 1, 1))
-    theta(ThetaKey(1, n, 0))
 
     def on_boundary(b: BaryPoint) -> BaryPoint:
         return theta1_on_face(n, _first_zero(b), b)
 
+    def on_boundary_inverse(c: BaryPoint) -> BaryPoint:
+        return _on_face(n, _first_zero(c), c, backwards=True)
+
     alpha = Fraction(1, 2 * (n + 1))
     beta = Fraction(1, 2 * (n + 1) + 1)
-    return extend_from_boundary(on_boundary, alpha, beta, n)
-
+    return extend_from_boundary(on_boundary, alpha, beta, n, on_boundary_inverse)

@@ -340,20 +340,6 @@ def test_term_evaluation_matches_direct_composition():
     assert term.evaluate(x) == BaryPoint([F(1, 6), F(1, 6), F(2, 3)])
 
 
-def test_theta_inverse_step():
-    from simplexboundary.chain import ThetaInverseStep
-
-    term = SingularTerm(
-        identity_term(1).target,
-        (ThetaInverseStep(ThetaKey(1, 1, 0)), ThetaStep(ThetaKey(1, 1, 0))),
-        1,
-    )
-    for x in small_grid(1, 6):
-        assert term.evaluate(x) == x
-    with pytest.raises(ValueError):
-        ThetaInverseStep(ThetaKey(1, 1, 1))  # no exact inverse stored for i=1
-
-
 def test_grid_agreement_is_an_equivalence_on_generated_terms():
     # Group the 24 double-boundary composites of the 2-simplex identity by
     # their exact value vectors; pairing partners must share a class, and

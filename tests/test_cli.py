@@ -260,3 +260,24 @@ def test_verify_boundary_grid_denominator_too_small_exits_two(capsys):
     assert code == 2
     assert "usage error: --grid-denominator 1" in stderr
     assert stdout == ""
+
+
+def test_verify_equations_nonpositive_grid_denominator_exits_two(tmp_path, capsys):
+    # The level-1 grid has dimension 0, so no grid construction would notice.
+    config = tmp_path / "run.cfg"
+    config.write_text("grid-denominator=0\n")
+    code, stdout, stderr = run(
+        capsys, "verify-equations", "--L", "0", "--n", "1", "--config", str(config)
+    )
+    assert code == 2
+    assert "usage error: --grid-denominator 0 must be at least 1" in stderr
+    assert stdout == ""
+
+
+def test_verify_boundary_nonpositive_grid_denominator_exits_two(capsys):
+    code, stdout, stderr = run(
+        capsys, "verify-boundary", "--m", "1", "--n", "2", "--grid-denominator", "-5"
+    )
+    assert code == 2
+    assert "usage error: --grid-denominator -5 must be at least 1" in stderr
+    assert stdout == ""

@@ -32,7 +32,7 @@ from simplexboundary.geometry import (
 )
 from simplexboundary.pl1d import identity_map, phi_n0, pl_compose, pl_eval, polygon, sigma_polygon
 
-from test_pl1d import random_homeo
+from test_pl1d import pl_homeos, random_homeo
 
 
 def small_grid(n, k=12):
@@ -145,16 +145,16 @@ def test_layer_extension_identity_cases():
     ident = extend_from_layer(lambda b: b, 0, 0, 2, phi_inverse=lambda b: b)
     for x in small_grid(2):
         assert ident(x) == x
-    top = extend_from_layer(lambda b: b, F(1, 3), F(1, 3), 2)
+    top = extend_from_layer(lambda b: b, F(1, 3), F(1, 3), 2, phi_inverse=lambda b: b)
     for x in small_grid(2):
         assert top(x) == x
 
 
 def test_layer_extension_level_errors():
     with pytest.raises(BadLevels):
-        extend_from_layer(lambda b: b, 0, F(1, 6), 2)
+        extend_from_layer(lambda b: b, 0, F(1, 6), 2, phi_inverse=lambda b: b)
     with pytest.raises(BadLevels):
-        extend_from_layer(lambda b: b, F(1, 3), F(1, 6), 2)
+        extend_from_layer(lambda b: b, F(1, 3), F(1, 6), 2, phi_inverse=lambda b: b)
 
 
 def _layer_phi(n, alpha, beta):
@@ -220,7 +220,7 @@ def test_boundary_extension_identity():
 
 def test_boundary_extension_level_errors():
     with pytest.raises(BadLevels):
-        extend_from_boundary(lambda b: b, F(1, 3), F(1, 6), 2)
+        extend_from_boundary(lambda b: b, F(1, 3), F(1, 6), 2, phi_inverse=lambda b: b)
 
 
 def _boundary_phi(n, alpha, beta):
@@ -256,12 +256,7 @@ DEN = 48  # breakpoints and cross levels live on the grid (1/(n+1)) * k/DEN
 def lifted_maps(draw):
     """(n, f) with f a random increasing polygon fixing 0 and 1/(n+1)."""
     n = draw(st.integers(1, 4))
-    c = F(1, n + 1)
-    k = draw(st.integers(0, 4))
-    inner = st.lists(st.integers(1, DEN - 1), min_size=k, max_size=k, unique=True)
-    xs, ys = sorted(draw(inner)), sorted(draw(inner))
-    pts = [(0, 0), (c, c)] + [(c * F(a, DEN), c * F(b, DEN)) for a, b in zip(xs, ys)]
-    return n, polygon(pts)
+    return n, draw(pl_homeos(F(1, n + 1), DEN))
 
 
 @st.composite
@@ -278,14 +273,14 @@ def _assert_inverse_laws(h, x, y):
     assert h(h.inverse_at(y)) == y
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_lift_inverse_laws_property(data):
     n, f = data.draw(lifted_maps())
     _assert_inverse_laws(lambda_lift(f, n), data.draw(points(n)), data.draw(points(n)))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_boundary_extension_inverse_laws_property(data):
     n, f = data.draw(lifted_maps())

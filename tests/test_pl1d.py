@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexboundary.geometry import BaryPoint
 from simplexboundary.pl1d import (
@@ -11,10 +13,8 @@ from simplexboundary.pl1d import (
     OutOfDomain,
     PLMap,
     eta,
-    format_plmap_fixture,
     identity_map,
     kappa,
-    parse_plmap_fixture,
     phi_n0,
     pl_compose,
     pl_eval,
@@ -34,6 +34,16 @@ def random_homeo(rng: random.Random, lo: F, hi: F, inner: int = 3) -> PLMap:
     pts = [(lo, lo), (hi, hi)]
     pts += [(lo + span * F(a, 60), lo + span * F(b, 60)) for a, b in zip(xs, ys)]
     return polygon(pts)
+
+
+@st.composite
+def pl_homeos(draw, hi=F(1), den=48):
+    """An increasing polygon of [0, hi] fixing both endpoints, with up to
+    four inner breakpoints on the grid hi * k/den."""
+    k = draw(st.integers(0, 4))
+    inner = st.lists(st.integers(1, den - 1), min_size=k, max_size=k, unique=True)
+    xs, ys = sorted(draw(inner)), sorted(draw(inner))
+    return polygon([(0, 0), (hi, hi)] + [(hi * F(a, den), hi * F(b, den)) for a, b in zip(xs, ys)])
 
 
 def test_polygon_examples():
@@ -92,6 +102,12 @@ def test_pl_compose():
     assert pl_eval(pl_compose(e, e), F(1, 4)) == F(1, 9)
     with pytest.raises(ValueError):
         pl_compose(phi_n0(2), eta())  # codomain/domain mismatch
+
+
+@settings(max_examples=100)
+@given(pl_homeos(), pl_homeos(), pl_homeos())
+def test_pl_compose_is_associative_property(f, g, h):
+    assert pl_compose(h, pl_compose(g, f)) == pl_compose(pl_compose(h, g), f)
 
 
 def test_strictly_increasing_on_breakpoints_and_midpoints():
@@ -160,13 +176,6 @@ def test_tau_polygon_cross_mismatch():
     c = BaryPoint([0, F(1, 5), F(4, 5)])  # image misses the target level
     with pytest.raises(CrossMismatch):
         tau_polygon(b, c, F(1, 6), F(1, 7))
-
-
-def test_fixture_roundtrip():
-    f = kappa()
-    text = format_plmap_fixture(f)
-    assert text.splitlines()[0] == "0 0"
-    assert parse_plmap_fixture(text) == f
 
 
 def test_fixed_points():

@@ -99,6 +99,11 @@ def _zero_layer(n):
     return extend_from_layer(lift, 0, 0, n, lift.inverse_at)
 
 
+def _theta1_maps():
+    for n in range(1, 7):
+        yield f"theta:L=1,n={n},i=1", theta(ThetaKey(1, n, 1)), (F(1, 2 * (n + 1)),)
+
+
 def _maps():
     for n in range(1, 7):
         yield f"theta:L=1,n={n},i=0", theta(ThetaKey(1, n, 0)), (F(1, 2 * (n + 1)),)
@@ -118,6 +123,7 @@ def _maps():
     for n in (2, 3):
         yield f"layer0:n={n}", _zero_layer(n), ()
     yield "counterexample", counterexample_map(), (F(1, 8), F(1, 16))
+    yield from _theta1_maps()
 
 
 def _outcome(fn, x):
@@ -127,11 +133,13 @@ def _outcome(fn, x):
         return f"!{type(exc).__name__}"
 
 
-def transcript(homeo, levels):
-    """One line per point: the point, its image and its preimage."""
+def transcript(homeo, levels, inverse=True):
+    """One line per point: the point, its image and (with ``inverse``) its
+    preimage."""
+    columns = (homeo, homeo.inverse_at) if inverse else (homeo,)
     lines = []
     for x in _transcript_points(homeo.dim, levels):
-        lines.append(f"{format_point(x)} {_outcome(homeo, x)} {_outcome(homeo.inverse_at, x)}\n")
+        lines.append(" ".join([format_point(x), *(_outcome(fn, x) for fn in columns)]) + "\n")
     return "".join(lines)
 
 
@@ -151,6 +159,12 @@ TRANSCRIPTS = {
     "layer0:n=2": "fc518b73abb700ba345c2ad2e5d15049e6a5decd0f2ada4c6ac452d407d9263d",
     "layer0:n=3": "9a0f173de7dfec6121f5ecb8b597d26a8572f969dd060c0657b1ecef30f888e8",
     "counterexample": "23214b4bab97b528c5cc84938d5701f7d79f6b85ecc80af887cb30456f1d2029",
+    "theta:L=1,n=1,i=1": "f8386b14543db124218eacc2dd97e3b4fe14bc88049554e888f32a10beed990a",
+    "theta:L=1,n=2,i=1": "48dd53881097002864f3d7e2b08660073ea842e251bc28a19c42836ec0b1a3f4",
+    "theta:L=1,n=3,i=1": "cb7f189062d18ec6713fd733e552dc2e27b93a1d2a739c041d2be41aee4284a4",
+    "theta:L=1,n=4,i=1": "633298e75b2939a4b03774fc58efbda423688e99341269e25395deabf6e5d86c",
+    "theta:L=1,n=5,i=1": "6f2799bc7711051b62259dde8d0cd21380ada000987b975dcf837137f79cdc26",
+    "theta:L=1,n=6,i=1": "cd0f66b5608623bd8d62bb69c4d37eacf13e3d66dbc3bef71a10a97d2e791c5b",
 }
 
 
@@ -160,3 +174,23 @@ def test_map_transcripts():
         for name, homeo, levels in _maps()
     }
     assert digests == TRANSCRIPTS
+
+
+#: Point and image columns of the Θ(1,n,1) transcripts, recorded while
+#: Θ(1,n,1) for n >= 2 was still built without an inverse.
+FORWARD_TRANSCRIPTS = {
+    "theta:L=1,n=1,i=1": "155fdd27322c947bad1cd4348921c83b22ce388971c109b66b4a3df686346e59",
+    "theta:L=1,n=2,i=1": "91af3a165bf88bb72335dcc984e71295fabaa449a00cc615e487644f529a2347",
+    "theta:L=1,n=3,i=1": "1a58d761c197a6f2cba0fdbcf028574f330ec3e1366b6ec781d5e8cecc40bf6c",
+    "theta:L=1,n=4,i=1": "cbc034fc187dab8b1c0c17131fd7057299354d2ff02f05c26e362d1e553b3788",
+    "theta:L=1,n=5,i=1": "352c90aec7483055a245612c5a3928344723951f43e4a9197df62881e146e53a",
+    "theta:L=1,n=6,i=1": "7cae66d1c24e393993ac0e7aca356f58d47499f959543c1ea33eca8ed8d88b6c",
+}
+
+
+def test_theta1_forward_transcripts():
+    digests = {
+        name: hashlib.sha256(transcript(homeo, levels, inverse=False).encode("utf-8")).hexdigest()
+        for name, homeo, levels in _theta1_maps()
+    }
+    assert digests == FORWARD_TRANSCRIPTS

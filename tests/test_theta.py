@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexboundary.comfort import check_comfort
 from simplexboundary.geometry import (
@@ -28,6 +30,8 @@ from simplexboundary.theta import (
     theta,
     theta1_on_face,
 )
+
+from test_comfort import points
 
 
 def small_grid(n, k=10):
@@ -70,6 +74,16 @@ def test_face_delete_is_left_inverse():
                     key = FaceMap(L, n, i, j)
                     for x in grid:
                         assert face_delete(key, face_insert(key, x)) == x
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_face_delete_inverts_face_insert_property(data):
+    L = data.draw(st.integers(0, 1))
+    n = data.draw(st.integers(1, 5))
+    key = FaceMap(L, n, data.draw(st.integers(0, L)), data.draw(st.integers(0, n)))
+    x = data.draw(points(n - 1))
+    assert face_delete(key, face_insert(key, x)) == x
 
 
 def test_face_insert_respects_permutations():
@@ -219,3 +233,27 @@ def test_theta_preserves_min_ordering():
     for x in small_grid(2, 8):
         y = t(x)
         assert (min_value(x) == 0) == (min_value(y) == 0)
+
+
+# ---------------------------------------------------------------------------
+# Properties on random rational points
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_theta1_inverse_laws_property(data):
+    n = data.draw(st.integers(1, 3))
+    t = theta(ThetaKey(1, n, 1))
+    x, y = data.draw(points(n)), data.draw(points(n))
+    assert t.inverse_at(t(x)) == x
+    assert t(t.inverse_at(y)) == y
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_theta_respects_permutations_property(data):
+    n = data.draw(st.integers(1, 3))
+    t = theta(ThetaKey(1, n, data.draw(st.integers(0, 1))))
+    x = data.draw(points(n))
+    perm = tuple(data.draw(st.permutations(range(n + 1))))
+    assert t(apply_perm(x, perm)) == apply_perm(t(x), perm)
