@@ -13,13 +13,16 @@ from .geometry import (
     BaryPoint,
     DEFAULT_DENOMINATOR,
     DEFAULT_SEED,
-    RegionSpec,
     canonical_grid,
     center,
-    classify,
     format_point,
     format_rational,
+    in_section,
+    in_sponge,
     min_value,
+    on_boundary,
+    on_cross,
+    on_layer,
     parse_point,
     parse_rational,
     project_boundary,
@@ -30,7 +33,6 @@ from .geometry import (
 )
 from .pl1d import (
     PLMap,
-    eta,
     identity_map,
     kappa,
     phi_n0,

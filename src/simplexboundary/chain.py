@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .comfort import SimplexHomeo
-from .geometry import DEFAULT_SEED, BaryPoint, canonical_grid, format_point
+from .geometry import BaryPoint, format_point
 from .theta import FaceMap, ThetaKey, UnsupportedL, face_insert, theta
 
 
@@ -340,9 +340,9 @@ class EquationCheck:
     p: int
     i: int
     k: int
+    grid_meta: dict
     points_checked: int
     witnesses: List[Witness] = field(default_factory=list)
-    grid_meta: Optional[dict] = None
 
     @property
     def verdict(self) -> bool:
@@ -352,7 +352,7 @@ class EquationCheck:
         return {
             "check": "equation",
             "parameters": {"n": self.n, "L": self.L, "j": self.j, "p": self.p, "i": self.i, "k": self.k},
-            "grid": self.grid_meta or {"size": self.points_checked},
+            "grid": self.grid_meta,
             "verdict": "pass" if self.verdict else "fail",
             "points_checked": self.points_checked,
             "witnesses": [w.to_json() for w in self.witnesses],
@@ -382,11 +382,14 @@ def check_equation(
     p: int,
     i: int,
     k: int,
-    grid: Optional[Sequence[BaryPoint]] = None,
+    grid: Sequence[BaryPoint],
     L: int = 1,
     grid_meta: Optional[dict] = None,
 ) -> EquationCheck:
     """Exact grid agreement of the two doubled face/Θ composites.
+
+    The report's grid object is a copy of ``grid_meta`` (the grid's
+    origin, such as its denominator and seed) plus the grid's size.
 
     A point that a side rejects (any ``ValueError`` raised while
     evaluating, such as a point-validation or face-slot failure) becomes
@@ -399,14 +402,12 @@ def check_equation(
         raise ValueError(f"slot indices must satisfy 0 <= j <= p <= n, got j={j}, p={p}")
     if not (0 <= i <= L and 0 <= k <= L):
         raise ValueError(f"layer indices ({i},{k}) outside 0..{L}")
-    if grid is None:
-        grid = canonical_grid(n - 1)
-        grid_meta = grid_meta or {"denominator": 60, "size": len(grid), "seed": DEFAULT_SEED}
     left, right = equation_sides(n, j, p, i, k, L)
     for step in left.precomps + right.precomps:
         if isinstance(step, ThetaStep):
             step.homeo  # resolve before the loop: a Θ past the cap raises here
-    result = EquationCheck(n=n, L=L, j=j, p=p, i=i, k=k, points_checked=0, grid_meta=grid_meta)
+    grid_meta = {**(grid_meta or {}), "size": len(grid)}  # a copy: the caller's dict stays as it is
+    result = EquationCheck(n=n, L=L, j=j, p=p, i=i, k=k, grid_meta=grid_meta, points_checked=0)
     for x in grid:
         result.points_checked += 1
         try:
@@ -444,8 +445,8 @@ class CancellationCheck:
     consumed: int
     points_checked: int
     trivial: bool
+    grid_meta: dict
     witnesses: List[Witness] = field(default_factory=list)
-    grid_meta: Optional[dict] = None
 
     @property
     def verdict(self) -> bool:
@@ -455,7 +456,7 @@ class CancellationCheck:
         return {
             "check": "boundary-squared",
             "parameters": {"n": self.dim - 1, "L": self.L, "m": list(self.m)},
-            "grid": self.grid_meta or {"size": self.points_checked},
+            "grid": self.grid_meta,
             "verdict": "pass" if self.verdict else "fail",
             "summands": self.summands_total,
             "pairs_checked": self.pairs_checked,
@@ -468,7 +469,7 @@ class CancellationCheck:
 def check_boundary_squared(
     c: Chain,
     m: CoefficientTuple,
-    grid: Optional[Sequence[BaryPoint]] = None,
+    grid: Sequence[BaryPoint],
     grid_meta: Optional[dict] = None,
 ) -> CancellationCheck:
     """Pair the summands of the double boundary and certify cancellation.
@@ -482,7 +483,8 @@ def check_boundary_squared(
     is injective, so they agree at a point exactly when s and s' do, and
     ``check_equation`` decides that on the grid.  For dimension-1 chains
     the second boundary is the zero map by definition and the
-    certificate is trivial.
+    certificate is trivial.  The report's grid object is a copy of
+    ``grid_meta`` plus the grid's size, as in ``check_equation``.
     """
     L = m.L
     if L > 1:
@@ -491,19 +493,12 @@ def check_boundary_squared(
     if d < 1:
         raise ValueError("the double boundary needs chains of dimension >= 1")
     ring = c.ring
-    if d == 1:
-        return CancellationCheck(
-            dim=d, L=L, m=tuple(m), summands_total=0, pairs_checked=0,
-            consumed=0, points_checked=0, trivial=True, grid_meta=grid_meta,
-        )
-    if grid is None:
-        grid = canonical_grid(d - 2)
-        grid_meta = grid_meta or {"denominator": 60, "size": len(grid), "seed": DEFAULT_SEED}
-
     check = CancellationCheck(
-        dim=d, L=L, m=tuple(m), summands_total=0, pairs_checked=0,
-        consumed=0, points_checked=0, trivial=False, grid_meta=grid_meta,
+        dim=d, L=L, m=tuple(m), summands_total=0, pairs_checked=0, consumed=0,
+        points_checked=0, trivial=d == 1, grid_meta={**(grid_meta or {}), "size": len(grid)},
     )
+    if check.trivial:
+        return check
 
     for term, coeff in c.terms:
         summands: Dict[Tuple[int, int, int, int], int] = {}

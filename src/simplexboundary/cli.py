@@ -105,17 +105,17 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _grids(args, dims) -> List[Tuple[List[BaryPoint], dict]]:
-    """The canonical grid and its report metadata per dimension, all built
-    before any check runs, so a too small --grid-denominator is a usage error."""
+def _grids(args, dims) -> Tuple[dict, List[List[BaryPoint]]]:
+    """The grids' origin (denominator and seed) and the canonical grid per
+    dimension, all built before any check runs, so a too small
+    --grid-denominator is a usage error."""
     if args.grid_denominator < 1:
         raise UsageError(f"--grid-denominator {args.grid_denominator} must be at least 1")
     try:
         grids = [canonical_grid(dim, args.grid_denominator, args.seed) for dim in dims]
     except ValueError as exc:
         raise UsageError(f"--grid-denominator {args.grid_denominator}: {exc}") from exc
-    meta = {"denominator": args.grid_denominator, "seed": args.seed}
-    return [(grid, {**meta, "size": len(grid)}) for grid in grids]
+    return {"denominator": args.grid_denominator, "seed": args.seed}, grids
 
 
 def _check_family(L: int) -> None:
@@ -150,9 +150,10 @@ def cmd_verify_equations(args) -> int:
     instances = []
     all_pass = True
     levels = range(args.n, args.n_max + 1)
-    for n, (grid, meta) in zip(levels, _grids(args, [n - 1 for n in levels])):
+    origin, grids = _grids(args, [n - 1 for n in levels])
+    for n, grid in zip(levels, grids):
         for (j, p, i, k) in equation_instances(n, args.L):
-            res = check_equation(n, j, p, i, k, grid, args.L, grid_meta=meta)
+            res = check_equation(n, j, p, i, k, grid, args.L, grid_meta=origin)
             instances.append(res)
             all_pass &= res.verdict
             print(
@@ -162,7 +163,7 @@ def cmd_verify_equations(args) -> int:
     report = {
         "check": "equations",
         "parameters": {"n": args.n, "n_max": args.n_max, "L": args.L},
-        "grid": {"denominator": args.grid_denominator, "seed": args.seed},
+        "grid": origin,
         "verdict": "pass" if all_pass else "fail",
         "instances": [r.to_json() for r in instances],
     }
@@ -185,9 +186,10 @@ def cmd_verify_boundary(args) -> int:
     runs = []
     all_pass = True
     dims = range(args.n, args.n_max + 1)
-    for dim, (grid, meta) in zip(dims, _grids(args, [max(dim - 2, 0) for dim in dims])):
+    origin, grids = _grids(args, [max(dim - 2, 0) for dim in dims])
+    for dim, grid in zip(dims, grids):
         chain = chain_of_term(identity_term(dim))
-        res = check_boundary_squared(chain, m, grid, grid_meta=meta)
+        res = check_boundary_squared(chain, m, grid, grid_meta=origin)
         runs.append(res)
         all_pass &= res.verdict
         print(
@@ -198,7 +200,7 @@ def cmd_verify_boundary(args) -> int:
     report = {
         "check": "boundary-squared",
         "parameters": {"n": args.n, "n_max": args.n_max, "m": list(m)},
-        "grid": {"denominator": args.grid_denominator, "seed": args.seed},
+        "grid": origin,
         "verdict": "pass" if all_pass else "fail",
         "runs": [r.to_json() for r in runs],
     }

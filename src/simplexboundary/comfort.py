@@ -31,7 +31,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .geometry import (
     DEFAULT_SEED,
@@ -278,27 +278,18 @@ class ComfortReport:
     map_id: str
     dim: int
     samples_checked: int = 0
-    permutation_violations: List[ComfortViolation] = field(default_factory=list)
-    order_violations: List[ComfortViolation] = field(default_factory=list)
-    bijectivity_spot_failures: List[ComfortViolation] = field(default_factory=list)
+    violations: List[ComfortViolation] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return not (
-            self.permutation_violations
-            or self.order_violations
-            or self.bijectivity_spot_failures
-        )
-
-    def all_violations(self) -> List[ComfortViolation]:
-        return self.permutation_violations + self.order_violations + self.bijectivity_spot_failures
+        return not self.violations
 
     def to_json(self) -> dict:
         return {
             "map_id": self.map_id,
             "n": self.dim,
             "samples": self.samples_checked,
-            "violations": [v.to_json() for v in self.all_violations()],
+            "violations": [v.to_json() for v in self.violations],
         }
 
     def to_json_text(self) -> str:
@@ -322,6 +313,18 @@ def _test_permutations(n: int, seed: int) -> List[Tuple[int, ...]]:
     return perms
 
 
+def _image(f: PointMap, x: BaryPoint) -> Union[BaryPoint, str]:
+    """``f(x)``, or the name and message of the ``ValueError`` it raises."""
+    try:
+        return f(x)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _shown(value: Union[BaryPoint, str]) -> str:
+    return value if isinstance(value, str) else format_point(value)
+
+
 def check_comfort(
     homeo: SimplexHomeo,
     grid: Sequence[BaryPoint],
@@ -331,32 +334,36 @@ def check_comfort(
     """Check permutation-respect, order-keeping and the exact round trip
     through the inverse on every grid point.
 
-    Violations are collected, not raised.
+    Violations are collected, not raised, one condition after the other.
+    A ``ValueError`` raised by the map or its inverse is a violation
+    whose ``actual`` names the exception: at a grid point it fails the
+    round trip, and at a permuted point the permutation check.
     """
     n = homeo.dim
-    report = ComfortReport(map_id=map_id or homeo.label, dim=n)
+    report = ComfortReport(map_id=map_id or homeo.label, dim=n, samples_checked=len(grid))
     perms = _test_permutations(n, seed)
-    for x in grid:
-        y = homeo(x)
-        report.samples_checked += 1
+    images = [(x, _image(homeo, x)) for x in grid]
+    mapped = [(x, y) for x, y in images if not isinstance(y, str)]
 
+    for x, y in mapped:
         for perm in perms:
             expected = apply_perm(y, perm)
-            actual = homeo(apply_perm(x, perm))
+            actual = _image(homeo, apply_perm(x, perm))
             if actual != expected:
-                report.permutation_violations.append(
+                report.violations.append(
                     ComfortViolation(
                         kind="permutation",
                         witness=f"x={format_point(x)} perm={perm}",
                         expected=format_point(expected),
-                        actual=format_point(actual),
+                        actual=_shown(actual),
                     )
                 )
 
+    for x, y in mapped:
         for a in range(n + 1):
             for b in range(n + 1):
                 if x[a] <= x[b] and not y[a] <= y[b]:
-                    report.order_violations.append(
+                    report.violations.append(
                         ComfortViolation(
                             kind="order",
                             witness=f"x={format_point(x)} slots=({a},{b})",
@@ -365,14 +372,15 @@ def check_comfort(
                         )
                     )
 
-        back = homeo.inverse_at(y)
+    for x, y in images:
+        back = y if isinstance(y, str) else _image(homeo.inverse_at, y)
         if back != x:
-            report.bijectivity_spot_failures.append(
+            report.violations.append(
                 ComfortViolation(
                     kind="bijectivity",
                     witness=f"x={format_point(x)}",
                     expected=format_point(x),
-                    actual=format_point(back),
+                    actual=_shown(back),
                 )
             )
     return report

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -171,55 +170,37 @@ def project_boundary(x: BaryPoint) -> BaryPoint:
 # Region membership
 
 
-@dataclass(frozen=True)
-class RegionSpec:
-    """A named subset of the simplex with an optional level parameter."""
-
-    kind: str
-    level: Optional[Fraction] = None
-    index: Optional[int] = None
-
-    @classmethod
-    def cross(cls, alpha) -> "RegionSpec":
-        return cls("cross", level=Fraction(alpha))
-
-    @classmethod
-    def layer(cls, alpha) -> "RegionSpec":
-        return cls("layer", level=Fraction(alpha))
-
-    @classmethod
-    def boundary(cls) -> "RegionSpec":
-        return cls("boundary")
-
-    @classmethod
-    def section(cls, j: int) -> "RegionSpec":
-        return cls("section", index=j)
-
-    @classmethod
-    def sponge(cls) -> "RegionSpec":
-        return cls("sponge")
+def on_cross(x: BaryPoint, alpha) -> bool:
+    """Whether some coordinate of ``x`` equals ``alpha``."""
+    alpha = Fraction(alpha)
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"cross level {alpha} outside [0,1]")
+    return any(xi == alpha for xi in x)
 
 
-def classify(x: BaryPoint, region: RegionSpec) -> bool:
-    """Exact membership test of ``x`` in the given region."""
-    n = x.dim
-    if region.kind == "cross":
-        if not 0 <= region.level <= 1:
-            raise ValueError(f"cross level {region.level} outside [0,1]")
-        return any(xi == region.level for xi in x)
-    if region.kind == "layer":
-        if not 0 <= region.level <= Fraction(1, n + 1):
-            raise ValueError(f"layer level {region.level} outside [0, 1/{n + 1}]")
-        return min(x) == region.level
-    if region.kind == "boundary":
-        return any(xi == 0 for xi in x)
-    if region.kind == "section":
-        if not 0 <= region.index <= n:
-            raise ValueError(f"section index {region.index} out of range")
-        return min(x) == x[region.index]
-    if region.kind == "sponge":
-        return len(set(x)) == len(x)
-    raise ValueError(f"unknown region kind {region.kind!r}")
+def on_layer(x: BaryPoint, alpha) -> bool:
+    """Whether the smallest coordinate of ``x`` equals ``alpha``."""
+    alpha = Fraction(alpha)
+    if not 0 <= alpha <= Fraction(1, x.dim + 1):
+        raise ValueError(f"layer level {alpha} outside [0, 1/{x.dim + 1}]")
+    return min(x) == alpha
+
+
+def on_boundary(x: BaryPoint) -> bool:
+    """Whether ``x`` has a zero coordinate."""
+    return any(xi == 0 for xi in x)
+
+
+def in_section(x: BaryPoint, j: int) -> bool:
+    """Whether coordinate j of ``x`` is a smallest one."""
+    if not 0 <= j <= x.dim:
+        raise ValueError(f"section index {j} out of range")
+    return min(x) == x[j]
+
+
+def in_sponge(x: BaryPoint) -> bool:
+    """Whether the coordinates of ``x`` are pairwise distinct."""
+    return len(set(x)) == len(x)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ that collinear interior breakpoints are removed; two maps are equal as
 functions exactly when their normalized breakpoint tuples are equal.
 Besides the generic operations (evaluate, invert, compose) the module
 provides the named constructors used by the simplex homeomorphisms: the
-two symmetric seed polygons, the ``phi_n0`` family, the three-point level
-matching polygon and the per-ray ``tau`` polygon of the boundary
+symmetric seed polygon ``kappa``, the ``phi_n0`` family, the three-point
+level matching polygon and the per-ray ``tau`` polygon of the boundary
 extension.
 """
 
@@ -165,12 +165,6 @@ def pl_compose(g: PLMap, f: PLMap) -> PLMap:
 
 # ---------------------------------------------------------------------------
 # Named constructors
-
-
-def eta() -> PLMap:
-    """Seed polygon through (0,0), (1/4,1/6), (3/4,5/6), (1,1)."""
-    q = Fraction
-    return polygon([(0, 0), (q(1, 4), q(1, 6)), (q(3, 4), q(5, 6)), (1, 1)])
 
 
 def kappa() -> PLMap:

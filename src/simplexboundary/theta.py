@@ -10,9 +10,9 @@ homeomorphism that precomposes it inside the boundary operator:
 * L = 1, i = 1: built by induction on the dimension — a seven-map
   composite defines it on the boundary faces, and the boundary
   extension carries it inward so that the 1/(2(n+1))-cross lands on the
-  1/(2(n+1)+1)-cross.  The composite is written once, as a tuple of
-  invertible steps; its inverse runs the inverted steps backwards, so
-  every member of the family carries an exact inverse.
+  1/(2(n+1)+1)-cross.  The composite is a table of (map, inverse)
+  pairs, resolved once per dimension; its inverse runs the inverses in
+  reverse order, so every member of the family carries an exact inverse.
 
 Maps are constructed once per key and cached; after construction the
 cache is read-only and safe to share.  The inductive family is built up
@@ -21,11 +21,12 @@ to dimension ``THETA1_DIM_CAP`` and no further.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, Sequence, Tuple
 
-from .comfort import SimplexHomeo, extend_from_boundary, identity_homeo, lambda_lift
+from .comfort import PointMap, SimplexHomeo, extend_from_boundary, identity_homeo, lambda_lift
 from .geometry import BaryPoint, apply_perm, format_point, format_rational, transposition
 from .pl1d import kappa, phi_n0, restrict
 
@@ -152,48 +153,46 @@ def _first_zero(y: BaryPoint) -> int:
     raise NotOnFace(f"{format_point(y)} has no zero coordinate")
 
 
-def _apply(key: ThetaKey, x: BaryPoint) -> BaryPoint:
-    return theta(key)(x)
+def _inserting(key: FaceMap) -> Tuple[PointMap, PointMap]:
+    # Look the face maps up at call time, so a rebound name is what runs.
+    return (lambda x: face_insert(key, x)), (lambda y: face_delete(key, y))
 
 
-def _unapply(key: ThetaKey, y: BaryPoint) -> BaryPoint:
-    return theta(key).inverse_at(y)
+def _deleting(key: FaceMap) -> Tuple[PointMap, PointMap]:
+    insert, delete = _inserting(key)
+    return delete, insert
 
 
-def _face0_steps(dim: int) -> tuple:
+@functools.cache
+def _face0_steps(dim: int) -> Tuple[Tuple[PointMap, PointMap], ...]:
     """The seven-map composite on the face with slot 0 zero, as (map,
-    inverse, argument) triples in order: peel off the zero, undo the
-    previous dimension's lift, apply its inductive map, insert the
-    distinguished cross value, lift once more, and trade the inserted
-    value for the zero."""
+    inverse) pairs in order: peel off the zero, undo the previous
+    dimension's lift, apply its inductive map, insert the distinguished
+    cross value, lift once more, and trade the inserted value for the
+    zero.  The Θ maps are resolved once per dimension."""
+    lift = theta(ThetaKey(1, dim - 1, 0))
+    lower = theta(ThetaKey(1, dim - 1, 1))
+    relift = theta(ThetaKey(1, dim, 0))
     return (
-        (face_delete, face_insert, FaceMap(1, dim, 0, 0)),
-        (_unapply, _apply, ThetaKey(1, dim - 1, 0)),
-        (_apply, _unapply, ThetaKey(1, dim - 1, 1)),
-        (face_insert, face_delete, FaceMap(1, dim, 1, 0)),
-        (_apply, _unapply, ThetaKey(1, dim, 0)),
-        (face_insert, face_delete, FaceMap(1, dim + 1, 0, 0)),
-        (face_delete, face_insert, FaceMap(1, dim + 1, 1, 1)),
+        _deleting(FaceMap(1, dim, 0, 0)),
+        (lift.inverse_at, lift),
+        (lower, lower.inverse_at),
+        _inserting(FaceMap(1, dim, 1, 0)),
+        (relift, relift.inverse_at),
+        _inserting(FaceMap(1, dim + 1, 0, 0)),
+        _deleting(FaceMap(1, dim + 1, 1, 1)),
     )
 
 
-def _on_face(dim: int, j: int, y: BaryPoint, backwards: bool) -> BaryPoint:
-    if dim < 2:
-        raise ValueError("the inductive face construction starts at dimension 2")
-    if y.dim != dim:
-        raise ValueError(f"expected a point of dimension {dim}, got {y.dim}")
-    if y[j] != 0:
-        raise NotOnFace(f"slot {j} of {format_point(y)} is not zero")
+def _on_face(steps: Sequence[Tuple[PointMap, PointMap]], j: int, y: BaryPoint) -> BaryPoint:
+    """Run the first map of each pair on the face with slot j zero: on
+    face 0 directly, on face j conjugated by the transposition of slots
+    0 and j."""
     if j != 0:
-        swap = transposition(dim, 0, j)
-        return apply_perm(_on_face(dim, 0, apply_perm(y, swap), backwards), swap)
-    steps = _face0_steps(dim)
-    if backwards:
-        for _, inverse, arg in reversed(steps):
-            y = inverse(arg, y)
-    else:
-        for forward, _, arg in steps:
-            y = forward(arg, y)
+        swap = transposition(y.dim, 0, j)
+        return apply_perm(_on_face(steps, 0, apply_perm(y, swap)), swap)
+    for step, _ in steps:
+        y = step(y)
     return y
 
 
@@ -205,7 +204,13 @@ def theta1_on_face(dim: int, j: int, y: BaryPoint) -> BaryPoint:
     swaps slots 0 and j; all seven maps respect permutations, so every
     face yields consistent values on overlaps.
     """
-    return _on_face(dim, j, y, backwards=False)
+    if dim < 2:
+        raise ValueError("the inductive face construction starts at dimension 2")
+    if y.dim != dim:
+        raise ValueError(f"expected a point of dimension {dim}, got {y.dim}")
+    if y[j] != 0:
+        raise NotOnFace(f"slot {j} of {format_point(y)} is not zero")
+    return _on_face(_face0_steps(dim), j, y)
 
 
 def theta1_full(n: int) -> SimplexHomeo:
@@ -215,17 +220,20 @@ def theta1_full(n: int) -> SimplexHomeo:
     extension with levels 1/(2(n+1)) and 1/(2(n+1)+1) produces a
     homeomorphism carrying the first cross onto the second.  Its exact
     inverse extends the boundary inverse, which runs the face composite
-    backwards: the inverted steps in reverse order, under the same
-    transposition.
+    in reverse: the same pairs, reversed and swapped, under the same
+    transposition.  The face table and the lower Θ maps it uses are
+    resolved here, once.
     """
     if n < 2:
         raise ValueError("the inductive construction starts at dimension 2")
+
+    backward = tuple((inverse, forward) for forward, inverse in reversed(_face0_steps(n)))
 
     def on_boundary(b: BaryPoint) -> BaryPoint:
         return theta1_on_face(n, _first_zero(b), b)
 
     def on_boundary_inverse(c: BaryPoint) -> BaryPoint:
-        return _on_face(n, _first_zero(c), c, backwards=True)
+        return _on_face(backward, _first_zero(c), c)
 
     alpha = Fraction(1, 2 * (n + 1))
     beta = Fraction(1, 2 * (n + 1) + 1)

@@ -26,13 +26,12 @@ from simplexboundary.comfort import (
 )
 from simplexboundary.geometry import (
     BaryPoint,
-    RegionSpec,
     canonical_grid,
     center,
-    classify,
     cross_samples,
     min_value,
     multi_zero_samples,
+    on_cross,
 )
 from simplexboundary.pl1d import phi_n0, pl_compose, pl_eval, sigma_polygon
 from simplexboundary.theta import (
@@ -150,7 +149,7 @@ def test_criterion_4_lift_property_suite():
                 beta = pl_eval(f, alpha)
                 for x in cross_samples(n, alpha, 8, seed=rng.randint(0, 10**6)):
                     y = lifted(x)
-                    assert classify(y, RegionSpec.cross(beta))
+                    assert on_cross(y, beta)
                     for slot in range(n + 1):
                         assert (x[slot] == alpha) == (y[slot] == beta)
 
@@ -171,8 +170,8 @@ def test_criterion_5_cross_transport_and_face_consistency():
         t0 = theta(ThetaKey(1, n, 0))
         t1 = theta(ThetaKey(1, n, 1))
         for x in cross_samples(n, alpha, 12):
-            assert classify(t0(x), RegionSpec.cross(F(1, 2 * (n + 2))))
-            assert classify(t1(x), RegionSpec.cross(F(1, 2 * (n + 1) + 1)))
+            assert on_cross(t0(x), F(1, 2 * (n + 2)))
+            assert on_cross(t1(x), F(1, 2 * (n + 1) + 1))
         for y in multi_zero_samples(n, 10):
             zero_slots = [m for m, c in enumerate(y) if c == 0]
             values = {theta1_on_face(n, j, y) for j in zero_slots}

@@ -285,7 +285,9 @@ def test_certificate_paper_case():
 
 
 def test_certificate_trivial_dimension_one():
-    res = check_boundary_squared(chain_of_term(identity_term(1)), CoefficientTuple([9, 4]))
+    res = check_boundary_squared(
+        chain_of_term(identity_term(1)), CoefficientTuple([9, 4]), small_grid(0)
+    )
     assert res.verdict and res.trivial and res.summands_total == 0
 
 
@@ -315,6 +317,25 @@ def test_certificate_report_shape():
     assert data["verdict"] == "pass"
     assert data["summands"] == 24
     assert data["pairs_checked"] == 12
+
+
+def test_certificate_grid_size_is_the_grid_length():
+    grid = small_grid(1, 4)
+    res = check_boundary_squared(chain_of_term(identity_term(3)), CoefficientTuple([9, 4]), grid)
+    assert res.points_checked > len(grid)  # every pair runs the whole grid
+    assert res.to_json()["grid"] == {"size": len(grid)}
+
+
+def test_checks_copy_the_grid_origin():
+    origin = {"denominator": 60, "seed": 7}
+    grid = small_grid(1)
+    equation = check_equation(2, 0, 1, 0, 1, grid, grid_meta=origin)
+    certificate = check_boundary_squared(
+        chain_of_term(identity_term(2)), CoefficientTuple([9, 4]), small_grid(0), grid_meta=origin
+    )
+    assert equation.to_json()["grid"] == {"denominator": 60, "seed": 7, "size": len(grid)}
+    assert certificate.to_json()["grid"] == {"denominator": 60, "seed": 7, "size": 1}
+    assert origin == {"denominator": 60, "seed": 7}
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,15 @@ from simplexboundary.comfort import (
 )
 from simplexboundary.geometry import (
     BaryPoint,
-    RegionSpec,
     apply_perm,
     boundary_samples,
     canonical_grid,
     center,
-    classify,
     cross_samples,
+    format_point,
     layer_samples,
     min_value,
+    on_cross,
     project_boundary,
 )
 from simplexboundary.pl1d import identity_map, phi_n0, pl_compose, pl_eval, polygon, sigma_polygon
@@ -116,7 +116,7 @@ def test_lift_cross_transport():
             beta = pl_eval(f, alpha)
             for x in cross_samples(n, alpha, 8):
                 y = lifted(x)
-                assert classify(y, RegionSpec.cross(beta))
+                assert on_cross(y, beta)
                 for slot in range(n + 1):
                     assert (x[slot] == alpha) == (y[slot] == beta)
 
@@ -237,7 +237,7 @@ def test_boundary_extension_properties():
         assert ext(b) == lifted(b)  # restriction law
     for x in cross_samples(n, alpha, 12):
         y = ext(x)
-        assert classify(y, RegionSpec.cross(beta))
+        assert on_cross(y, beta)
         for slot in range(n + 1):
             assert (x[slot] == alpha) == (y[slot] == beta)
     for x in small_grid(n):
@@ -313,8 +313,42 @@ def test_check_comfort_flags_rotation():
     )
     report = check_comfort(rot, small_grid(2))
     assert not report.passed
-    assert report.permutation_violations
-    assert report.order_violations
+    kinds = {v.kind for v in report.violations}
+    assert "permutation" in kinds
+    assert "order" in kinds
+
+
+def test_check_comfort_reports_a_raising_inverse():
+    def refuse(y):
+        raise ValueError("no preimage")
+
+    grid = small_grid(2)
+    report = check_comfort(SimplexHomeo(2, lambda x: x, refuse, label="one-way"), grid)
+    assert [v.kind for v in report.violations] == ["bijectivity"] * len(grid)
+    assert {v.actual for v in report.violations} == {"ValueError: no preimage"}
+    assert report.samples_checked == len(grid)
+
+
+def test_check_comfort_reports_a_raising_map():
+    # Defined only where the first coordinate is a smallest one: grid
+    # points outside fail the round trip, permuted points the permutation
+    # check, and both name the exception.
+    def partial(x):
+        if x[0] != min(x):
+            raise ValueError("outside the section")
+        return x
+
+    grid = small_grid(2)
+    report = check_comfort(SimplexHomeo(2, partial, partial, label="partial"), grid)
+    named = {(v.kind, v.actual) for v in report.violations}
+    assert named == {
+        ("permutation", "ValueError: outside the section"),
+        ("bijectivity", "ValueError: outside the section"),
+    }
+    outside = [x for x in grid if x[0] != min(x)]
+    assert [v.witness for v in report.violations if v.kind == "bijectivity"] == [
+        f"x={format_point(x)}" for x in outside
+    ]
 
 
 def test_check_comfort_json_shape():

@@ -6,17 +6,20 @@ from simplexboundary.geometry import (
     BaryPoint,
     CenterProjection,
     DimensionMismatch,
-    RegionSpec,
     apply_perm,
     boundary_samples,
     canonical_grid,
     center,
-    classify,
     cross_samples,
     format_point,
     format_rational,
+    in_section,
+    in_sponge,
     min_value,
     multi_zero_samples,
+    on_boundary,
+    on_cross,
+    on_layer,
     parse_point,
     parse_rational,
     project_boundary,
@@ -101,26 +104,32 @@ def test_segment_eval_examples():
 
 
 def test_classify_examples():
-    assert classify(vertex(2, 0), RegionSpec.cross(1))
+    assert on_cross(vertex(2, 0), 1)
     for j in range(3):
-        assert classify(center(2), RegionSpec.section(j))
-    assert not classify(BaryPoint([F(1, 6), F(1, 6), F(2, 3)]), RegionSpec.sponge())
-    assert classify(BaryPoint([F(1, 6), F(2, 6), F(3, 6)]), RegionSpec.sponge())
-    assert classify(BaryPoint([0, F(1, 3), F(2, 3)]), RegionSpec.boundary())
+        assert in_section(center(2), j)
+    assert not in_sponge(BaryPoint([F(1, 6), F(1, 6), F(2, 3)]))
+    assert in_sponge(BaryPoint([F(1, 6), F(2, 6), F(3, 6)]))
+    assert on_boundary(BaryPoint([0, F(1, 3), F(2, 3)]))
+    with pytest.raises(ValueError):
+        on_cross(center(2), F(3, 2))
+    with pytest.raises(ValueError):
+        on_layer(center(2), F(1, 2))  # above the center's level 1/3
+    with pytest.raises(ValueError):
+        in_section(center(2), 3)
 
 
 def test_layer_contained_in_cross():
     for x in canonical_grid(2, sponge_cap=20, random_count=20):
         alpha = min_value(x)
-        assert classify(x, RegionSpec.layer(alpha))
-        assert classify(x, RegionSpec.cross(alpha))
+        assert on_layer(x, alpha)
+        assert on_cross(x, alpha)
 
 
 def test_layers_partition_by_min():
     # Exactly one layer level contains each point: its minimum coordinate.
     denominators = [F(a, 12) for a in range(0, 5)]  # 0 .. 4/12 covers [0, 1/3]
     for x in canonical_grid(2, sponge_cap=10, random_count=10):
-        hits = [lvl for lvl in denominators if classify(x, RegionSpec.layer(lvl))]
+        hits = [lvl for lvl in denominators if on_layer(x, lvl)]
         expected = [min_value(x)] if min_value(x) in denominators else []
         assert hits == expected
 
@@ -146,7 +155,7 @@ def test_sponge_points_are_sponge():
         pts = sponge_points(n, 60, cap=32)
         assert pts
         for x in pts:
-            assert classify(x, RegionSpec.sponge())
+            assert in_sponge(x)
             assert all(60 % c.denominator == 0 for c in x)
 
 
@@ -166,6 +175,6 @@ def test_special_samplers():
     for b in boundary_samples(2, 12):
         assert min_value(b) == 0
     for x in cross_samples(3, F(1, 8), 12):
-        assert classify(x, RegionSpec.cross(F(1, 8)))
+        assert on_cross(x, F(1, 8))
     for x in multi_zero_samples(3, 12):
         assert sum(1 for c in x if c == 0) >= 2

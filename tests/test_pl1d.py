@@ -12,7 +12,6 @@ from simplexboundary.pl1d import (
     NonMonotone,
     OutOfDomain,
     PLMap,
-    eta,
     identity_map,
     kappa,
     phi_n0,
@@ -47,8 +46,9 @@ def pl_homeos(draw, hi=F(1), den=48):
 
 
 def test_polygon_examples():
-    assert pl_eval(eta(), F(1, 4)) == F(1, 6)
     assert pl_eval(kappa(), F(1, 4)) == F(1, 5)
+    assert pl_eval(kappa(), F(5, 8)) == F(13, 20)
+    assert restrict(kappa(), 0, F(1, 2)).points == ((0, 0), (F(1, 4), F(1, 5)), (F(1, 2), F(1, 2)))
     ident = polygon([(0, 0), (1, 1)])
     assert ident == identity_map(0, 1)
 
@@ -72,7 +72,7 @@ def test_normalization_removes_collinear_points():
 
 
 def test_pl_eval_examples():
-    assert pl_eval(eta(), F(1, 2)) == F(1, 2)
+    assert pl_eval(kappa(), F(1, 2)) == F(1, 2)
     assert pl_eval(kappa(), 0) == 0
     assert pl_eval(phi_n0(2), F(1, 6)) == F(1, 8)
     with pytest.raises(OutOfDomain):
@@ -80,7 +80,7 @@ def test_pl_eval_examples():
 
 
 def test_pl_inverse_examples():
-    assert pl_eval(pl_inverse(eta()), F(1, 6)) == F(1, 4)
+    assert pl_eval(pl_inverse(kappa()), F(1, 5)) == F(1, 4)
     assert pl_inverse(identity_map(0, 1)) == identity_map(0, 1)
     assert pl_eval(pl_inverse(phi_n0(2)), F(1, 8)) == F(1, 6)
 
@@ -96,12 +96,12 @@ def test_pl_inverse_roundtrip_property():
 
 
 def test_pl_compose():
-    e = eta()
-    assert pl_compose(pl_inverse(e), e) == identity_map(0, 1)
-    assert pl_compose(e, identity_map(0, 1)) == e
-    assert pl_eval(pl_compose(e, e), F(1, 4)) == F(1, 9)
+    k = kappa()
+    assert pl_compose(pl_inverse(k), k) == identity_map(0, 1)
+    assert pl_compose(k, identity_map(0, 1)) == k
+    assert pl_eval(pl_compose(k, k), F(1, 4)) == F(4, 25)
     with pytest.raises(ValueError):
-        pl_compose(phi_n0(2), eta())  # codomain/domain mismatch
+        pl_compose(phi_n0(2), kappa())  # codomain/domain mismatch
 
 
 @settings(max_examples=100)
@@ -112,7 +112,7 @@ def test_pl_compose_is_associative_property(f, g, h):
 
 def test_strictly_increasing_on_breakpoints_and_midpoints():
     rng = random.Random(5)
-    maps = [eta(), kappa(), phi_n0(1), phi_n0(3)]
+    maps = [kappa(), phi_n0(1), phi_n0(3)]
     maps += [random_homeo(rng, F(0), F(1, 4)) for _ in range(6)]
     for f in maps:
         samples = [u for u, _ in f.points]
@@ -123,14 +123,14 @@ def test_strictly_increasing_on_breakpoints_and_midpoints():
 
 
 def test_symmetry_of_seed_polygons():
-    for f in (eta(), kappa()):
-        for k in range(0, 25):
-            x = F(k, 24)
-            assert pl_eval(f, x) + pl_eval(f, 1 - x) == 1
+    f = kappa()
+    for k in range(0, 25):
+        x = F(k, 24)
+        assert pl_eval(f, x) + pl_eval(f, 1 - x) == 1
 
 
 def test_phi_n0_family():
-    assert phi_n0(1) == restrict(eta(), 0, F(1, 2))
+    assert phi_n0(1).points == ((0, 0), (F(1, 4), F(1, 6)), (F(1, 2), F(1, 2)))
     for n in range(0, 6):
         f = phi_n0(n)
         top = F(1, n + 1)
@@ -179,6 +179,6 @@ def test_tau_polygon_cross_mismatch():
 
 
 def test_fixed_points():
-    assert eta().fixed_points() == (F(0), F(1))
+    assert kappa().fixed_points() == (F(0), F(1))
     g = polygon([(0, 0), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 3)), (1, 1)])
     assert g.fixed_points() == (F(0), F(1, 4), F(1))

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from fractions import Fraction as F
 
@@ -8,14 +9,13 @@ from hypothesis import strategies as st
 from simplexboundary.comfort import check_comfort
 from simplexboundary.geometry import (
     BaryPoint,
-    RegionSpec,
     apply_perm,
     canonical_grid,
     center,
-    classify,
     cross_samples,
     min_value,
     multi_zero_samples,
+    on_cross,
     vertex,
 )
 from simplexboundary.pl1d import kappa, pl_eval
@@ -146,6 +146,23 @@ def test_theta_cache_returns_same_object():
     assert theta(ThetaKey(1, 2, 1)) is theta(ThetaKey(1, 2, 1))
 
 
+def test_built_theta1_looks_up_no_theta(monkeypatch):
+    # The face composite's lower Θ maps are resolved when Θ(1,3,1) is
+    # built, so evaluating it on the boundary, both ways, looks up none.
+    theta_module = importlib.import_module("simplexboundary.theta")  # the package binds the function
+    t = theta(ThetaKey(1, 3, 1))
+    calls = []
+
+    def counting(key):
+        calls.append(key)
+        return theta(key)
+
+    monkeypatch.setattr(theta_module, "theta", counting)
+    for x in multi_zero_samples(3, 10):
+        assert t.inverse_at(t(x)) == x
+    assert calls == []
+
+
 def test_theta_dim_cap():
     with pytest.raises(ValueError, match="up to dimension 6"):
         theta(ThetaKey(1, 7, 1))
@@ -199,7 +216,7 @@ def test_theta1_cross_transport():
         beta = F(1, 2 * (n + 1) + 1)
         for x in cross_samples(n, alpha, 8):
             y = t(x)
-            assert classify(y, RegionSpec.cross(beta))
+            assert on_cross(y, beta)
             for slot in range(n + 1):
                 assert (x[slot] == alpha) == (y[slot] == beta)
 
@@ -210,7 +227,7 @@ def test_theta0_cross_transport():
         alpha = F(1, 2 * (n + 1))
         beta = F(1, 2 * (n + 2))
         for x in cross_samples(n, alpha, 8):
-            assert classify(t(x), RegionSpec.cross(beta))
+            assert on_cross(t(x), beta)
 
 
 def test_theta_fixes_center():
