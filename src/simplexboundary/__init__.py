@@ -76,7 +76,6 @@ from .chain import (
     check_equation,
     equation_instances,
     identity_term,
-    integers_mod,
     point_term,
     zero_chain,
 )

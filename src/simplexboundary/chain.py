@@ -3,8 +3,10 @@
 Chains are finite linear combinations of singular terms over the
 integers or the integers mod m.  A singular term is a base map (the
 identity of a standard simplex, or the unique map to a one-point space)
-together with an ordered list of precomposed primitive maps; the
-boundary operator appends a face insertion and a Θ map per summand.
+together with an ordered list of precomposed face maps; each face is
+"Θ, then insert": the Θ map of its layer, then the insertion of the
+internal face parallel to its slot.  The boundary operator appends one
+face per summand.
 
 One generator expands a term into the summands of its boundary; the
 operator, both sides of the commutation identity and the cancellation
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .comfort import SimplexHomeo
 from .geometry import BaryPoint, format_point
@@ -50,27 +52,8 @@ class RingSpec:
     def norm(self, a: int) -> int:
         return a if self.modulus is None else a % self.modulus
 
-    def add(self, a: int, b: int) -> int:
-        return self.norm(a + b)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.norm(a * b)
-
-    def neg(self, a: int) -> int:
-        return self.norm(-a)
-
-    def is_zero(self, a: int) -> bool:
-        return self.norm(a) == 0
-
-    def __str__(self) -> str:
-        return "Z" if self.modulus is None else f"Z/{self.modulus}"
-
 
 INTEGERS = RingSpec()
-
-
-def integers_mod(m: int) -> RingSpec:
-    return RingSpec(m)
 
 
 class CoefficientTuple(tuple):
@@ -91,127 +74,71 @@ class CoefficientTuple(tuple):
 # Singular terms
 
 
-@dataclass(frozen=True)
-class PointTarget:
-    def __str__(self) -> str:
-        return "pt"
-
-
-@dataclass(frozen=True)
-class SimplexTarget:
-    dim: int
-
-    def __str__(self) -> str:
-        return f"simplex{self.dim}"
-
-
-POINT_TARGET = PointTarget()
-
-#: Returned by evaluation of point-target terms.
+#: Returned by evaluation of point terms.
 POINT_VALUE = object()
 
 
 @dataclass(frozen=True)
-class FaceInsertStep:
-    fm: FaceMap
-
-    @property
-    def dom_dim(self) -> int:
-        return self.fm.n - 1
-
-    @property
-    def cod_dim(self) -> int:
-        return self.fm.n
-
-    def apply(self, x: BaryPoint) -> BaryPoint:
-        return face_insert(self.fm, x)
-
-    def __str__(self) -> str:
-        return f"ins({self.fm.L},{self.fm.n},{self.fm.i},{self.fm.j})"
-
-
-@dataclass(frozen=True)
-class ThetaStep:
-    """A step through the Θ map of ``key``, a self-map of its simplex."""
-
-    key: ThetaKey
-
-    @property
-    def dom_dim(self) -> int:
-        return self.key.n
-
-    @property
-    def cod_dim(self) -> int:
-        return self.key.n
-
-    @cached_property
-    def homeo(self) -> SimplexHomeo:
-        """The Θ map, resolved on first use and kept by this step."""
-        return theta(self.key)
-
-    def apply(self, x: BaryPoint) -> BaryPoint:
-        return self.homeo(x)
-
-    def __str__(self) -> str:
-        return f"th({self.key.L},{self.key.n},{self.key.i})"
-
-
-Primitive = Union[FaceInsertStep, ThetaStep]
-
-
-@dataclass(frozen=True)
 class SingularTerm:
-    """A basis element: a target with an ordered precomposition list.
+    """A basis element: a base map precomposed with a list of faces.
 
-    ``precomps[0]`` is outermost; evaluation applies the list from the
-    right.  Consecutive domain/codomain dimensions must match, and for a
-    simplex target the outermost codomain must equal the target
-    dimension.  Point-target terms are canonicalized to empty lists, so
-    all maps into the point of equal domain dimension coincide.
+    The base is the identity of the simplex of the outermost face (of
+    ``domain_dim`` when there is none) or, with ``to_point``, the map to
+    the one-point space.  A face ``fm`` stands for
+    ``face_insert(fm, ·) ∘ Θ(fm.L, fm.n-1, fm.i)``: Θ, then insert.
+    ``faces[0]`` is outermost; evaluation applies the list from the
+    right, and each face's domain must be the next inner face's simplex.
+    Point terms are canonicalized to empty lists, so all maps into the
+    point of equal domain dimension coincide.
     """
 
-    target: Union[PointTarget, SimplexTarget]
-    precomps: Tuple[Primitive, ...]
+    faces: Tuple[FaceMap, ...]
     domain_dim: int
+    to_point: bool = False
 
     def __post_init__(self):
         d = self.domain_dim
-        for step in reversed(self.precomps):
-            if step.dom_dim != d:
-                raise ValueError(
-                    f"precomposition mismatch: step {step} expects domain {step.dom_dim}, got {d}"
-                )
-            d = step.cod_dim
-        if isinstance(self.target, SimplexTarget) and d != self.target.dim:
-            raise ValueError(
-                f"outermost codomain {d} does not match target dimension {self.target.dim}"
-            )
+        for fm in reversed(self.faces):
+            if fm.n - 1 != d:
+                raise ValueError(f"face {fm} expects domain {fm.n - 1}, got {d}")
+            d = fm.n
+
+    @cached_property
+    def steps(self) -> Tuple[Tuple[SimplexHomeo, FaceMap], ...]:
+        """The (Θ map, face) pairs, innermost first, resolved on first use."""
+        return tuple((theta(ThetaKey(fm.L, fm.n - 1, fm.i)), fm) for fm in reversed(self.faces))
 
     def canonical(self) -> "SingularTerm":
-        if isinstance(self.target, PointTarget) and self.precomps:
-            return SingularTerm(POINT_TARGET, (), self.domain_dim)
+        if self.to_point and self.faces:
+            return point_term(self.domain_dim)
         return self
 
     def evaluate(self, x: BaryPoint):
         if x.dim != self.domain_dim:
             raise ValueError(f"term expects dimension {self.domain_dim}, got {x.dim}")
-        if isinstance(self.target, PointTarget):
+        if self.to_point:
             return POINT_VALUE
-        for step in reversed(self.precomps):
-            x = step.apply(x)
+        for homeo, fm in self.steps:
+            x = face_insert(fm, homeo(x))
         return x
 
     def describe(self) -> str:
-        inner = "∘".join(str(s) for s in self.precomps) or "id"
-        return f"{self.target}←{inner}"
+        inner = "∘".join(
+            f"ins({fm.L},{fm.n},{fm.i},{fm.j})∘th({fm.L},{fm.n - 1},{fm.i})" for fm in self.faces
+        )
+        if self.to_point:
+            target = "pt"
+        else:
+            target = f"simplex{self.faces[0].n if self.faces else self.domain_dim}"
+        return f"{target}←{inner or 'id'}"
 
 
 def identity_term(n: int) -> SingularTerm:
-    return SingularTerm(SimplexTarget(n), (), n)
+    return SingularTerm((), n)
 
 
 def point_term(n: int) -> SingularTerm:
-    return SingularTerm(POINT_TARGET, (), n)
+    return SingularTerm((), n, to_point=True)
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +160,9 @@ class Chain:
             if term.domain_dim != dim:
                 raise ValueError(f"term of dimension {term.domain_dim} in a chain of dimension {dim}")
             key = term.canonical()
-            merged[key] = ring.add(merged.get(key, 0), ring.norm(coeff))
-        kept = tuple(
-            sorted(
-                ((t, c) for t, c in merged.items() if not ring.is_zero(c)),
-                key=lambda tc: tc[0].describe(),
-            )
-        )
+            merged[key] = merged.get(key, 0) + coeff
+        normed = ((t, ring.norm(c)) for t, c in merged.items())
+        kept = tuple(sorted(((t, c) for t, c in normed if c), key=lambda tc: tc[0].describe()))
         return Chain(ring, dim, kept)
 
     @property
@@ -267,12 +190,12 @@ def chain_add(c1: Chain, c2: Chain) -> Chain:
         raise ValueError("chains live over different rings or dimensions")
     entries: Dict[SingularTerm, int] = dict(c1.terms)
     for term, coeff in c2.terms:
-        entries[term] = c1.ring.add(entries.get(term, 0), coeff)
+        entries[term] = entries.get(term, 0) + coeff
     return Chain.make(c1.ring, c1.dim, entries)
 
 
 def chain_scale(c: Chain, r: int) -> Chain:
-    return Chain.make(c.ring, c.dim, {t: c.ring.mul(coeff, r) for t, coeff in c.terms})
+    return Chain.make(c.ring, c.dim, {t: coeff * r for t, coeff in c.terms})
 
 
 def _face_summands(
@@ -281,15 +204,15 @@ def _face_summands(
     """The (n+1)(L+1) summands ((j, i), weight, term') of ∂term.
 
     Slot j carries the sign (-1)^j and layer i the weight m_i; term'
-    precomposes the face insertion and the matching Θ map.  Summands come
-    in (j, i) order and are not canonicalized.
+    precomposes the face (L, n, i, j).  Summands come in (j, i) order and
+    are not canonicalized.
     """
     L, n = m.L, term.domain_dim
     for j in range(n + 1):
         sign = -1 if j % 2 else 1
         for i in range(L + 1):
-            steps = (FaceInsertStep(FaceMap(L, n, i, j)), ThetaStep(ThetaKey(L, n - 1, i)))
-            yield (j, i), sign * m[i], SingularTerm(term.target, term.precomps + steps, n - 1)
+            faces = term.faces + (FaceMap(L, n, i, j),)
+            yield (j, i), sign * m[i], SingularTerm(faces, n - 1, term.to_point)
 
 
 def boundary(c: Chain, m: CoefficientTuple) -> Chain:
@@ -307,8 +230,7 @@ def boundary(c: Chain, m: CoefficientTuple) -> Chain:
     entries: Dict[SingularTerm, int] = {}
     for term, coeff in c.terms:
         for _, weight, face_term in _face_summands(term, m):
-            key = face_term.canonical()
-            entries[key] = c.ring.add(entries.get(key, 0), c.ring.mul(coeff, weight))
+            entries[face_term] = entries.get(face_term, 0) + coeff * weight
     return Chain.make(c.ring, n - 1, entries)
 
 
@@ -403,9 +325,7 @@ def check_equation(
     if not (0 <= i <= L and 0 <= k <= L):
         raise ValueError(f"layer indices ({i},{k}) outside 0..{L}")
     left, right = equation_sides(n, j, p, i, k, L)
-    for step in left.precomps + right.precomps:
-        if isinstance(step, ThetaStep):
-            step.homeo  # resolve before the loop: a Θ past the cap raises here
+    left.steps, right.steps  # resolve the Θ maps before the loop: one past the cap raises here
     grid_meta = {**(grid_meta or {}), "size": len(grid)}  # a copy: the caller's dict stays as it is
     result = EquationCheck(n=n, L=L, j=j, p=p, i=i, k=k, grid_meta=grid_meta, points_checked=0)
     for x in grid:
@@ -504,7 +424,7 @@ def check_boundary_squared(
         summands: Dict[Tuple[int, int, int, int], int] = {}
         for (j, i), w1, face in _face_summands(term, m):
             for (p, k), w2, _ in _face_summands(face, m):
-                summands[(j, p, i, k)] = ring.mul(ring.mul(coeff, w1), w2)
+                summands[(j, p, i, k)] = ring.norm(coeff * w1 * w2)
         check.summands_total += len(summands)
 
         consumed = set()
@@ -516,7 +436,7 @@ def check_boundary_squared(
             check.pairs_checked += 1
             consumed.add((j, p, i, k))
             consumed.add(partner)
-            if ring.add(coeff_small, coeff_big) != 0:
+            if ring.norm(coeff_small + coeff_big) != 0:
                 check.witnesses.append(
                     Witness(
                         point="-",
@@ -526,7 +446,7 @@ def check_boundary_squared(
                     )
                 )
                 continue
-            if isinstance(term.target, PointTarget):
+            if term.to_point:
                 continue  # all composites into the point coincide
             maps = check_equation(d - 1, j, p, i, k, grid, L)
             check.points_checked += maps.points_checked

@@ -245,6 +245,8 @@ def _resolve_map(map_id: str) -> Tuple[int, PointMap]:
 
 def cmd_eval(args) -> int:
     _apply_config(args)
+    if args.format not in (None, "csv"):
+        raise UsageError(f"eval format must be csv, got {args.format!r}")
     dim, fn = _resolve_map(args.map)
     points = []
     for raw in args.point:

@@ -239,7 +239,7 @@ def sponge_points(
     """
     if n == 0:
         return [BaryPoint((1,))]
-    if denominator < n + 2:
+    if denominator < max(n + 2, n * (n + 1) // 2):  # n+1 distinct numerators sum to >= 0+1+...+n
         raise ValueError("denominator too small to host distinct coordinates")
     rng = _child_rng(seed, 1, n)
     k = n + 1

@@ -1,13 +1,13 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
 from simplexboundary.chain import (
     CoefficientTuple,
-    FaceInsertStep,
     INTEGERS,
+    RingSpec,
     SingularTerm,
-    ThetaStep,
     boundary,
     chain_add,
     chain_of_term,
@@ -17,7 +17,6 @@ from simplexboundary.chain import (
     equation_instances,
     equation_sides,
     identity_term,
-    integers_mod,
     point_term,
     zero_chain,
 )
@@ -46,11 +45,7 @@ def test_boundary_term_structure():
     assert len(d.terms) == 6  # (n+1)(L+1) before any cancellation
     for j in range(3):
         for i in range(2):
-            term = SingularTerm(
-                identity_term(2).target,
-                (FaceInsertStep(FaceMap(1, 2, i, j)), ThetaStep(ThetaKey(1, 1, i))),
-                1,
-            )
+            term = SingularTerm((FaceMap(1, 2, i, j),), 1)
             expected = (-1 if j % 2 else 1) * m[i]
             assert d.coefficient(term) == expected
 
@@ -74,8 +69,8 @@ def test_boundary_point_target_collapses():
 
 def test_boundary_linearity():
     m = CoefficientTuple([9, 4])
-    t1 = SingularTerm(identity_term(2).target, (ThetaStep(ThetaKey(1, 2, 0)),), 2)
-    t2 = SingularTerm(identity_term(2).target, (ThetaStep(ThetaKey(1, 2, 1)),), 2)
+    t1 = SingularTerm((FaceMap(1, 3, 0, 1),), 2)
+    t2 = SingularTerm((FaceMap(1, 3, 1, 2),), 2)
     c1 = chain_of_term(t1)
     c2 = chain_of_term(t2)
     combo = chain_add(chain_scale(c1, 3), chain_scale(c2, -5))
@@ -94,12 +89,28 @@ def test_chain_algebra():
 
 
 def test_modular_ring_normalization():
-    ring = integers_mod(3)
+    ring = RingSpec(3)
     c = chain_of_term(identity_term(2), ring=ring)
     d = boundary(c, CoefficientTuple([9, 4]))
     # 9 ≡ 0 (mod 3) wipes out the i=0 terms, 4 ≡ 1 keeps the i=1 terms.
     assert len(d.terms) == 3
     assert all(coeff == 1 or coeff == 2 for _, coeff in d.terms)
+
+
+def test_double_boundary_as_formal_chain():
+    # SHA-256 of the (describe(), coefficient) list of ∂∂ of the identity
+    # 3-chain for m = (9,4): pins the term order, the describe strings and
+    # the modular normalization.
+    m = CoefficientTuple([9, 4])
+    digests = {
+        INTEGERS: "cbddbc05afbf49a0297c84705f2720a8b84a1139c04ac6676ecd53625b85cbbe",
+        RingSpec(5): "692fb719f896e45930b14fdefef90e728bf1e3d454efa9b62c048772c435a672",
+    }
+    for ring, digest in digests.items():
+        dd = boundary(boundary(chain_of_term(identity_term(3), ring=ring), m), m)
+        listing = [(term.describe(), coeff) for term, coeff in dd.terms]
+        assert len(listing) == 48
+        assert hashlib.sha256(repr(listing).encode()).hexdigest() == digest
 
 
 def test_unsupported_coefficient_length():
@@ -301,7 +312,7 @@ def test_certificate_point_target():
 
 
 def test_certificate_modular_ring():
-    ring = integers_mod(5)
+    ring = RingSpec(5)
     res = check_boundary_squared(
         chain_of_term(identity_term(2), ring=ring), CoefficientTuple([9, 4]), small_grid(0)
     )
@@ -343,20 +354,12 @@ def test_checks_copy_the_grid_origin():
 
 
 def test_term_validation():
-    with pytest.raises(ValueError):
-        SingularTerm(
-            identity_term(2).target,
-            (FaceInsertStep(FaceMap(1, 1, 0, 0)),),  # codomain 1, target wants 2
-            0,
-        )
+    with pytest.raises(ValueError, match="expects domain 1, got 2"):
+        SingularTerm((FaceMap(1, 2, 0, 0), FaceMap(1, 2, 0, 0)), 1)  # inner codomain 2, outer domain 1
 
 
 def test_term_evaluation_matches_direct_composition():
-    term = SingularTerm(
-        identity_term(2).target,
-        (FaceInsertStep(FaceMap(1, 2, 1, 0)), ThetaStep(ThetaKey(1, 1, 1))),
-        1,
-    )
+    term = SingularTerm((FaceMap(1, 2, 1, 0),), 1)
     x = BaryPoint([F(1, 4), F(3, 4)])
     assert term.evaluate(x) == BaryPoint([F(1, 6), F(1, 6), F(2, 3)])
 
@@ -372,16 +375,7 @@ def test_grid_agreement_is_an_equivalence_on_generated_terms():
         for i in range(2):
             for p in range(2):
                 for k in range(2):
-                    term = SingularTerm(
-                        identity_term(2).target,
-                        (
-                            FaceInsertStep(FaceMap(1, 2, i, j)),
-                            ThetaStep(ThetaKey(1, 1, i)),
-                            FaceInsertStep(FaceMap(1, 1, k, p)),
-                            ThetaStep(ThetaKey(1, 0, k)),
-                        ),
-                        0,
-                    )
+                    term = SingularTerm((FaceMap(1, 2, i, j), FaceMap(1, 1, k, p)), 0)
                     key = tuple(term.evaluate(x) for x in grid)
                     classes.setdefault(key, []).append((j, p, i, k))
     for members in classes.values():

@@ -262,6 +262,35 @@ def test_verify_boundary_grid_denominator_too_small_exits_two(capsys):
     assert stdout == ""
 
 
+def test_verify_equations_grid_denominator_below_numerator_sum_exits_two(capsys):
+    # Six distinct numerators of a 5-dimensional grid point sum to at least 15.
+    code, stdout, stderr = run(
+        capsys, "verify-equations", "--L", "0", "--n", "5", "--grid-denominator", "9"
+    )
+    assert code == 2
+    assert "usage error: --grid-denominator 9" in stderr
+    assert stdout == ""
+
+
+EVAL_ONE_POINT = ("eval", "--map", "theta:L=1,n=1,i=1", "--point", "[1/4,3/4]")
+
+
+def test_eval_unknown_format_flag_exits_two(capsys):
+    code, stdout, stderr = run(capsys, *EVAL_ONE_POINT, "--format", "bogus")
+    assert code == 2
+    assert "usage error: eval format must be csv, got 'bogus'" in stderr
+    assert stdout == ""
+
+
+def test_eval_unknown_format_in_config_exits_two(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("format=bogus\n")
+    code, stdout, stderr = run(capsys, *EVAL_ONE_POINT, "--config", str(config))
+    assert code == 2
+    assert "usage error: eval format must be csv, got 'bogus'" in stderr
+    assert stdout == ""
+
+
 def test_verify_equations_nonpositive_grid_denominator_exits_two(tmp_path, capsys):
     # The level-1 grid has dimension 0, so no grid construction would notice.
     config = tmp_path / "run.cfg"

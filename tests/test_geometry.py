@@ -159,6 +159,13 @@ def test_sponge_points_are_sponge():
             assert all(60 % c.denominator == 0 for c in x)
 
 
+def test_denominator_below_distinct_numerator_sum_raises():
+    # Five distinct nonnegative numerators sum to at least 0+1+2+3+4 = 10.
+    with pytest.raises(ValueError, match="denominator too small"):
+        canonical_grid(4, 9)
+    assert sponge_points(4, 10, cap=4)
+
+
 def test_grids_are_deterministic():
     a = canonical_grid(3, sponge_cap=20, random_count=20, seed=7)
     b = canonical_grid(3, sponge_cap=20, random_count=20, seed=7)
