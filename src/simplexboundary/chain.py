@@ -11,8 +11,13 @@ face per summand.
 One generator expands a term into the summands of its boundary; the
 operator, both sides of the commutation identity and the cancellation
 certificate all use it, and every composite is evaluated by
-``SingularTerm.evaluate``.  Two checks make the defining identities
-executable:
+``SingularTerm.evaluate``.  Every summand of the double boundary is "Θ,
+then insert, Θ, then insert", so all checks on one grid run the same few
+Θ maps at the same points; they share one memo of Θ values (a dict
+keyed by the resolved map object and the exact point, never a sorted
+form of it), and only values whose map returned are stored.  Identity Θ
+maps (all of L = 0, and Θ on the 0-simplex) bypass it.  Two checks make
+the defining identities executable:
 
 * ``check_equation`` evaluates the two summands (j,p,i,k) and
   (p+1,j,k,i) of the double boundary of the identity chain on a grid and
@@ -77,6 +82,9 @@ class CoefficientTuple(tuple):
 #: Returned by evaluation of point terms.
 POINT_VALUE = object()
 
+#: A memo of Θ values, keyed by (map object, exact point).
+ThetaValues = Dict[Tuple[SimplexHomeo, BaryPoint], BaryPoint]
+
 
 @dataclass(frozen=True)
 class SingularTerm:
@@ -104,22 +112,44 @@ class SingularTerm:
             d = fm.n
 
     @cached_property
-    def steps(self) -> Tuple[Tuple[SimplexHomeo, FaceMap], ...]:
-        """The (Θ map, face) pairs, innermost first, resolved on first use."""
-        return tuple((theta(ThetaKey(fm.L, fm.n - 1, fm.i)), fm) for fm in reversed(self.faces))
+    def steps(self) -> Tuple[Tuple[SimplexHomeo, FaceMap, bool], ...]:
+        """The (Θ map, face, memoized) triples, innermost first, resolved on
+        first use.  An identity Θ is not memoized: hashing the point for
+        the lookup costs more than the map."""
+        steps = []
+        for fm in reversed(self.faces):
+            key = ThetaKey(fm.L, fm.n - 1, fm.i)
+            steps.append((theta(key), fm, not key.is_identity))
+        return tuple(steps)
 
     def canonical(self) -> "SingularTerm":
         if self.to_point and self.faces:
             return point_term(self.domain_dim)
         return self
 
-    def evaluate(self, x: BaryPoint):
+    def evaluate(self, x: BaryPoint, values: Optional[ThetaValues] = None):
+        """The term's value at ``x``.
+
+        ``values`` memoizes the values of non-identity Θ maps by (map
+        object, exact point): a step whose Θ value is there skips the map,
+        and a value is stored only once the map has returned, so a point
+        that raises raises again.  Terms evaluated on one grid can share
+        one dict.
+        """
         if x.dim != self.domain_dim:
             raise ValueError(f"term expects dimension {self.domain_dim}, got {x.dim}")
         if self.to_point:
             return POINT_VALUE
-        for homeo, fm in self.steps:
-            x = face_insert(fm, homeo(x))
+        if values is None:
+            values = {}
+        for homeo, fm, memoized in self.steps:
+            if not memoized:
+                y = homeo(x)
+            else:
+                y = values.get((homeo, x))
+                if y is None:
+                    y = values[homeo, x] = homeo(x)
+            x = face_insert(fm, y)
         return x
 
     def describe(self) -> str:
@@ -307,11 +337,16 @@ def check_equation(
     grid: Sequence[BaryPoint],
     L: int = 1,
     grid_meta: Optional[dict] = None,
+    values: Optional[ThetaValues] = None,
 ) -> EquationCheck:
     """Exact grid agreement of the two doubled face/Θ composites.
 
     The report's grid object is a copy of ``grid_meta`` (the grid's
     origin, such as its denominator and seed) plus the grid's size.
+    Both sides evaluate through the Θ memo ``values`` (a fresh dict when
+    it is not given); callers pass one dict to every instance they run
+    on the same grid, since the instances run the same Θ maps at the
+    same points and differ only in where values are inserted.
 
     A point that a side rejects (any ``ValueError`` raised while
     evaluating, such as a point-validation or face-slot failure) becomes
@@ -326,12 +361,14 @@ def check_equation(
         raise ValueError(f"layer indices ({i},{k}) outside 0..{L}")
     left, right = equation_sides(n, j, p, i, k, L)
     left.steps, right.steps  # resolve the Θ maps before the loop: one past the cap raises here
+    if values is None:
+        values = {}
     grid_meta = {**(grid_meta or {}), "size": len(grid)}  # a copy: the caller's dict stays as it is
     result = EquationCheck(n=n, L=L, j=j, p=p, i=i, k=k, grid_meta=grid_meta, points_checked=0)
     for x in grid:
         result.points_checked += 1
         try:
-            lhs, rhs = left.evaluate(x), right.evaluate(x)
+            lhs, rhs = left.evaluate(x, values), right.evaluate(x, values)
         except ValueError as exc:
             result.witnesses.append(Witness(format_point(x), "-", "-", f"{type(exc).__name__}: {exc}"))
             continue
@@ -401,7 +438,8 @@ def check_boundary_squared(
     A pair's composites are term ∘ s and term ∘ s' for the two sides s,
     s' of the commutation identity (j, p, i, k) at level d-1; every step
     is injective, so they agree at a point exactly when s and s' do, and
-    ``check_equation`` decides that on the grid.  For dimension-1 chains
+    ``check_equation`` decides that on the grid, with one Θ memo shared
+    by every term and pair of the call.  For dimension-1 chains
     the second boundary is the zero map by definition and the
     certificate is trivial.  The report's grid object is a copy of
     ``grid_meta`` plus the grid's size, as in ``check_equation``.
@@ -419,6 +457,7 @@ def check_boundary_squared(
     )
     if check.trivial:
         return check
+    values: ThetaValues = {}
 
     for term, coeff in c.terms:
         summands: Dict[Tuple[int, int, int, int], int] = {}
@@ -448,7 +487,7 @@ def check_boundary_squared(
                 continue
             if term.to_point:
                 continue  # all composites into the point coincide
-            maps = check_equation(d - 1, j, p, i, k, grid, L)
+            maps = check_equation(d - 1, j, p, i, k, grid, L, values=values)
             check.points_checked += maps.points_checked
             for w in maps.witnesses:
                 detail = f"maps of {(j, p, i, k)} and {partner} disagree"

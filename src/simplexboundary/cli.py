@@ -68,7 +68,7 @@ def _read_config(path: str) -> dict:
                     raise UsageError(f"config line without '=': {line!r}")
                 key, _, val = line.partition("=")
                 values[key.strip().replace("-", "_")] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -99,8 +99,11 @@ def _fill_defaults(args: argparse.Namespace, **defaults) -> None:
 
 def _write_or_print(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}") from exc
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -152,8 +155,9 @@ def cmd_verify_equations(args) -> int:
     levels = range(args.n, args.n_max + 1)
     origin, grids = _grids(args, [n - 1 for n in levels])
     for n, grid in zip(levels, grids):
+        values = {}  # one Θ memo per level: its instances share the grid
         for (j, p, i, k) in equation_instances(n, args.L):
-            res = check_equation(n, j, p, i, k, grid, args.L, grid_meta=origin)
+            res = check_equation(n, j, p, i, k, grid, args.L, grid_meta=origin, values=values)
             instances.append(res)
             all_pass &= res.verdict
             print(

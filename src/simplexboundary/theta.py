@@ -114,6 +114,11 @@ class ThetaKey:
         if not 0 <= self.i <= self.L:
             raise ValueError(f"index {self.i} outside 0..{self.L}")
 
+    @property
+    def is_identity(self) -> bool:
+        """Θ is the identity for the classical family (L = 0) and on the point."""
+        return self.L == 0 or self.n == 0
+
     def map_id(self) -> str:
         return f"theta:L={self.L},n={self.n},i={self.i}"
 
@@ -126,7 +131,7 @@ def theta(key: ThetaKey) -> SimplexHomeo:
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
-    if key.L == 0 or key.n == 0:
+    if key.is_identity:
         homeo = identity_homeo(key.n)
     elif key.i == 0:
         homeo = lambda_lift(phi_n0(key.n), key.n)

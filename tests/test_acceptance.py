@@ -89,8 +89,9 @@ def test_criterion_2_equation_suite():
             grid = canonical_grid(n - 1)
             if n >= 2:
                 assert len(grid) >= 50  # dimension-0 domains hold a single point
+            values = {}  # one Θ memo per level, as the CLI runs it
             for (j, p, i, k) in equation_instances(n, L):
-                res = check_equation(n, j, p, i, k, grid, L)
+                res = check_equation(n, j, p, i, k, grid, L, values=values)
                 if not res.verdict:
                     failures.append((L, n, j, p, i, k, res.witnesses[:1]))
     elapsed = time.monotonic() - start

@@ -20,8 +20,8 @@ from simplexboundary.chain import (
     point_term,
     zero_chain,
 )
-from simplexboundary.geometry import BaryPoint, canonical_grid
-from simplexboundary.theta import FaceMap, ThetaKey, UnsupportedL
+from simplexboundary.geometry import BaryPoint, canonical_grid, format_point
+from simplexboundary.theta import FaceMap, ThetaKey, UnsupportedL, face_insert
 
 
 def small_grid(n, k=8):
@@ -198,17 +198,22 @@ def test_check_equation_on_adversarial_inputs():
             assert check_equation(4, j, p, i, k, grid).verdict
 
 
-def rejecting_theta(monkeypatch, bad_key):
-    """Patch chain's Θ lookup so that the map for ``bad_key`` rejects every point."""
+def patch_theta(monkeypatch, patched_key, point_map):
+    """Patch chain's Θ lookup so that ``patched_key`` resolves to ``point_map``."""
     from simplexboundary import chain
-    from simplexboundary.theta import NotOnFace
 
     real_theta = chain.theta
+    monkeypatch.setattr(chain, "theta", lambda key: point_map if key == patched_key else real_theta(key))
+
+
+def rejecting_theta(monkeypatch, bad_key):
+    """Patch chain's Θ lookup so that the map for ``bad_key`` rejects every point."""
+    from simplexboundary.theta import NotOnFace
 
     def rejects(x):
         raise NotOnFace("rejected for the test")
 
-    monkeypatch.setattr(chain, "theta", lambda key: rejects if key == bad_key else real_theta(key))
+    patch_theta(monkeypatch, bad_key, rejects)
 
 
 def test_check_equation_records_rejections_as_witnesses(monkeypatch):
@@ -223,6 +228,68 @@ def test_check_equation_records_rejections_as_witnesses(monkeypatch):
     assert w.detail == "NotOnFace: rejected for the test"
     with pytest.raises(ValueError):
         check_equation(2, 2, 1, 0, 0, grid)  # index checks still raise
+
+
+def equation_suite_reports(shared, Ls=(1, 0)):
+    """``to_json()`` of every instance at levels 1..3, with one Θ memo per
+    level (``shared``) or a fresh one per instance."""
+    reports = []
+    for L in Ls:
+        for n in range(1, 4):
+            grid, values = small_grid(n - 1), {}
+            for (j, p, i, k) in equation_instances(n, L):
+                res = check_equation(n, j, p, i, k, grid, L, values=values if shared else None)
+                reports.append(res.to_json())
+    return reports
+
+
+def test_shared_theta_memo_changes_no_result():
+    assert equation_suite_reports(True) == equation_suite_reports(False)
+
+
+def test_shared_theta_memo_keeps_rejections(monkeypatch):
+    rejecting_theta(monkeypatch, ThetaKey(1, 1, 1))
+    shared = equation_suite_reports(True, Ls=(1,))
+    assert any(r["witnesses"] for r in shared)
+    assert shared == equation_suite_reports(False, Ls=(1,))
+
+
+def direct_witnesses(L):
+    """Per instance at levels 1..3, the (point, left, right) where the two
+    sides, composed step by step without a memo, disagree."""
+    def compose(term, x):
+        for homeo, fm, _ in term.steps:
+            x = face_insert(fm, homeo(x))
+        return x
+
+    witnesses = []
+    for n in range(1, 4):
+        grid = small_grid(n - 1)
+        for (j, p, i, k) in equation_instances(n, L):
+            sides = equation_sides(n, j, p, i, k, L)
+            values = [(x, *(compose(side, x) for side in sides)) for x in grid]
+            witnesses.append([tuple(map(format_point, v)) for v in values if v[1] != v[2]])
+    return witnesses
+
+
+def test_shared_theta_memo_keys_on_the_exact_point(monkeypatch):
+    # Reversing three coordinates does not respect permutations, so a memo
+    # keyed on a sorted form of the point would return wrong values.
+    patch_theta(monkeypatch, ThetaKey(1, 2, 1), lambda x: BaryPoint(reversed(x)))
+    shared = equation_suite_reports(True, Ls=(1,))
+    assert shared == equation_suite_reports(False, Ls=(1,))
+    witnessed = [[(w["point"], w["left"], w["right"]) for w in r["witnesses"]] for r in shared]
+    assert any(witnessed)
+    assert witnessed == direct_witnesses(1)
+
+
+def test_identity_theta_values_are_not_memoized():
+    values = {}
+    x = BaryPoint([F(1, 4), F(3, 4)])
+    SingularTerm((FaceMap(0, 2, 0, 1),), 1).evaluate(x, values)
+    assert values == {}
+    SingularTerm((FaceMap(1, 2, 1, 0),), 1).evaluate(x, values)
+    assert list(values.values()) == [BaryPoint([F(1, 5), F(4, 5)])]
 
 
 def test_check_equation_past_dimension_cap_raises():

@@ -192,6 +192,22 @@ def test_unknown_config_key(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_not_utf8_exits_two(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"\xff\xfe m=9,4\n")
+    code, _, stderr = run(capsys, "homology", "--m", "9,4", "--config", str(config))
+    assert code == 2
+    assert "cannot read config file" in stderr
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir"
+    code, _, stderr = run(capsys, "homology", "--m", "9,4", "--out", str(missing / "x"))
+    assert code == 2 and "cannot write" in stderr
+    code, _, stderr = run(capsys, "verify-equations", "--n", "1", "--out", str(missing / "y.json"))
+    assert code == 2 and "cannot write" in stderr
+
+
 def test_identical_flags_identical_reports(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify-boundary", "--n", "2", "--m", "1,1", "--seed", "99"]
