@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -108,6 +109,22 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
+def _check_writable(out: Optional[str]) -> None:
+    """Fail before any check runs when ``out`` cannot be opened for
+    writing.  The probe appends nothing, so an existing report keeps its
+    bytes if the run stops early, and a file the probe created is removed."""
+    if not out:
+        return
+    existed = os.path.exists(out)
+    try:
+        with open(out, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(out)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
+
+
 def _grids(args, dims) -> Tuple[dict, List[List[BaryPoint]]]:
     """The grids' origin (denominator and seed) and the canonical grid per
     dimension, all built before any check runs, so a too small
@@ -154,6 +171,7 @@ def cmd_verify_equations(args) -> int:
     all_pass = True
     levels = range(args.n, args.n_max + 1)
     origin, grids = _grids(args, [n - 1 for n in levels])
+    _check_writable(args.out)
     for n, grid in zip(levels, grids):
         values = {}  # one Θ memo per level: its instances share the grid
         for (j, p, i, k) in equation_instances(n, args.L):
@@ -191,6 +209,7 @@ def cmd_verify_boundary(args) -> int:
     all_pass = True
     dims = range(args.n, args.n_max + 1)
     origin, grids = _grids(args, [max(dim - 2, 0) for dim in dims])
+    _check_writable(args.out)
     for dim, grid in zip(dims, grids):
         chain = chain_of_term(identity_term(dim))
         res = check_boundary_squared(chain, m, grid, grid_meta=origin)

@@ -1,9 +1,15 @@
 """Exact barycentric geometry of the standard simplex.
 
-Every scalar is a ``fractions.Fraction`` and every operation is pure and
-exact, so geometric identities can be asserted with ``==`` instead of a
-tolerance.  The module provides the standard simplex primitives (center,
-minimum coordinate, radial layer projection, region membership, convex
+Every coordinate is stored as a reduced ``fractions.Fraction`` and every
+operation is pure and exact, so geometric identities can be asserted with
+``==`` instead of a tolerance.  Points are checked and built over one
+integer common denominator: a point's coordinates are put over the least
+common multiple D of their denominators, the simplex constraints become
+integer comparisons on the numerators, and each output coordinate is
+reduced once, as one ``Fraction(numerator, denominator)``.
+
+The module provides the standard simplex primitives (center, minimum
+coordinate, radial layer projection, region membership, convex
 combinations) plus the deterministic sample grids used by the
 verification checks.
 """
@@ -11,6 +17,7 @@ verification checks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -41,24 +48,41 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """The rational written as ``p``, ``p/q`` or a decimal; a zero
+    denominator is a ``ValueError`` like any other malformed text."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from exc
+
+
+def _over_common_denominator(coords: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """The integer numerators of ``coords`` over their least common
+    denominator D, and D."""
+    dens = [c.denominator for c in coords]
+    den = math.lcm(*dens)
+    return [c.numerator * (den // q) for c, q in zip(coords, dens)], den
 
 
 class BaryPoint(tuple):
     """A point of the standard simplex as an exact barycentric tuple.
 
-    Construction validates the defining constraints: all coordinates are
-    nonnegative rationals and they sum to exactly 1.  Instances are
-    immutable and hashable.
+    Construction is the only way to make one, and it validates the
+    defining constraints on every point: over the common denominator D of
+    the coordinates, every numerator is nonnegative and the numerators sum
+    to exactly D.  Coordinates that are already ``Fraction`` are kept;
+    anything else goes through ``Fraction(c)``.  Instances are immutable
+    and hashable tuples of reduced ``Fraction``.
     """
 
     def __new__(cls, coords: Iterable) -> "BaryPoint":
-        vals = tuple(Fraction(c) for c in coords)
+        vals = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
         if not vals:
             raise ValueError("a barycentric point needs at least one coordinate")
-        if any(c < 0 for c in vals):
+        nums, den = _over_common_denominator(vals)
+        if min(nums) < 0:
             raise ValueError(f"negative barycentric coordinate in {vals!r}")
-        if sum(vals) != 1:
+        if sum(nums) != den:
             raise ValueError(f"barycentric coordinates must sum to 1, got {vals!r}")
         return super().__new__(cls, vals)
 
@@ -135,7 +159,14 @@ def segment_eval(a: BaryPoint, b: BaryPoint, t: Fraction) -> BaryPoint:
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError(f"segment parameter {t} outside [0,1]")
-    return BaryPoint(tuple(t * ai + (1 - t) * bi for ai, bi in zip(a, b)))
+    # Over D = lcm of all denominators and t = p/q, coordinate m is
+    # (p*A_m + (q-p)*B_m) / (q*D).
+    nums, den = _over_common_denominator(a + b)
+    p, q = t.numerator, t.denominator
+    k = len(a)
+    return BaryPoint(
+        tuple(Fraction(p * am + (q - p) * bm, q * den) for am, bm in zip(nums[:k], nums[k:]))
+    )
 
 
 def project_layer(x: BaryPoint, alpha: Fraction) -> BaryPoint:
@@ -154,11 +185,16 @@ def project_layer(x: BaryPoint, alpha: Fraction) -> BaryPoint:
         raise ValueError(f"layer level {alpha} outside [0, 1/{n + 1}]")
     if alpha == cval:
         return center(n)
-    xmin = min(x)
-    if xmin == cval:
+    # Over D, x_m = X_m/D with minimum M/D; with alpha = a/d the image
+    # coordinate is (a*(D - (n+1)*M) + (d - (n+1)*a)*(X_m - M)) / (d*(D - (n+1)*M)).
+    nums, den = _over_common_denominator(x)
+    low = min(nums)
+    rest = den - (n + 1) * low
+    if rest == 0:
         raise CenterProjection(f"projection to layer {alpha} undefined at the center")
-    scale = (1 - (n + 1) * alpha) / (1 - (n + 1) * xmin)
-    return BaryPoint(tuple(alpha + scale * (xi - xmin) for xi in x))
+    a, d = alpha.numerator, alpha.denominator
+    base, scale = a * rest, d - (n + 1) * a
+    return BaryPoint(tuple(Fraction(base + scale * (xm - low), d * rest) for xm in nums))
 
 
 def project_boundary(x: BaryPoint) -> BaryPoint:

@@ -70,18 +70,25 @@ class FaceMap:
             raise ValueError(f"face map slot {self.j} outside 0..{self.n}")
 
     @property
+    def denominator(self) -> int:
+        """K = (L+1)(n+1); the inserted value is v = i/K."""
+        return (self.L + 1) * (self.n + 1)
+
+    @property
     def v(self) -> Fraction:
-        return Fraction(self.i, (self.L + 1) * (self.n + 1))
+        return Fraction(self.i, self.denominator)
 
 
 def face_insert(key: FaceMap, x: BaryPoint) -> BaryPoint:
     """Insert v at slot j, scaling the other coordinates by 1-v."""
     if x.dim != key.n - 1:
         raise ValueError(f"face map expects dimension {key.n - 1}, got {x.dim}")
-    v = key.v
-    scale = 1 - v
-    coords = [scale * c for c in x]
-    coords.insert(key.j, v)
+    # With v = i/K, each coordinate c = p/q becomes p*(K-i) / (q*K),
+    # reduced once.
+    K = key.denominator
+    keep = K - key.i
+    coords = [Fraction(c.numerator * keep, c.denominator * K) for c in x]
+    coords.insert(key.j, Fraction(key.i, K))
     return BaryPoint(coords)
 
 
@@ -94,8 +101,12 @@ def face_delete(key: FaceMap, y: BaryPoint) -> BaryPoint:
         raise WrongSlotValue(
             f"slot {key.j} holds {format_rational(y[key.j])}, expected {format_rational(v)}"
         )
-    scale = 1 / (1 - v)
-    return BaryPoint(scale * c for m, c in enumerate(y) if m != key.j)
+    # Each other coordinate c = p/q becomes p*K / (q*(K-i)), reduced once.
+    K = key.denominator
+    keep = K - key.i
+    return BaryPoint(
+        Fraction(c.numerator * K, c.denominator * keep) for m, c in enumerate(y) if m != key.j
+    )
 
 
 @dataclass(frozen=True)

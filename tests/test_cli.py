@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from simplexboundary import cli
 from simplexboundary.cli import main
 
 
@@ -76,6 +77,16 @@ def test_eval_bad_point_is_usage_error(capsys):
     code, _, stderr = run(capsys, "eval", "--map", "theta:L=1,n=1,i=0", "--point", "[oops]")
     assert code == 2
     assert "usage error" in stderr
+
+
+def test_eval_zero_denominator_is_usage_error(capsys):
+    code, _, stderr = run(capsys, "eval", "--map", "theta:L=1,n=1,i=1", "--point", "[1/0,1]")
+    assert code == 2 and "usage error" in stderr and "zero denominator" in stderr
+
+
+def test_figure_zero_denominator_is_usage_error(capsys):
+    code, _, stderr = run(capsys, "figure", "--m", "9,4", "--alpha", "1/0")
+    assert code == 2 and "usage error" in stderr and "zero denominator" in stderr
 
 
 def test_eval_bad_map_ids(capsys):
@@ -206,6 +217,29 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
     assert code == 2 and "cannot write" in stderr
     code, _, stderr = run(capsys, "verify-equations", "--n", "1", "--out", str(missing / "y.json"))
     assert code == 2 and "cannot write" in stderr
+
+
+def test_unwritable_out_fails_before_any_check(tmp_path, capsys):
+    missing = str(tmp_path / "no" / "such" / "dir" / "y.json")
+    for argv in (("verify-equations", "--n", "1"), ("verify-boundary", "--n", "2")):
+        code, stdout, stderr = run(capsys, *argv, "--out", missing)
+        assert code == 2 and "cannot write" in stderr
+        assert stdout == ""  # no equation or boundary-squared line was printed
+
+
+def test_out_probe_keeps_an_existing_report_when_the_run_stops(tmp_path, capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "check_equation", interrupted)
+    old = tmp_path / "old.json"
+    old.write_text("previous report\n")
+    new = tmp_path / "new.json"
+    for out in (old, new):
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify-equations", "--n", "1", "--out", str(out)])
+    assert old.read_text() == "previous report\n"
+    assert not new.exists()
 
 
 def test_identical_flags_identical_reports(tmp_path, capsys):

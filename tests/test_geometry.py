@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexboundary.geometry import (
     BaryPoint,
@@ -39,6 +41,126 @@ def test_barypoint_validation():
         BaryPoint([F(3, 2), F(-1, 2)])  # negative coordinate
     with pytest.raises(ValueError):
         BaryPoint([])
+
+
+# ---------------------------------------------------------------------------
+# Reference formulas: the plain ``Fraction`` arithmetic the integer
+# common-denominator code must reproduce exactly.
+
+
+def reference_accepts(coords):
+    vals = tuple(F(c) for c in coords)
+    return bool(vals) and all(c >= 0 for c in vals) and sum(vals) == 1
+
+
+def reference_segment_eval(a, b, t):
+    t = F(t)
+    return tuple(t * ai + (1 - t) * bi for ai, bi in zip(a, b))
+
+
+def reference_project_layer(x, alpha):
+    n = len(x) - 1
+    alpha = F(alpha)
+    if alpha == F(1, n + 1):
+        return (alpha,) * (n + 1)
+    xmin = min(x)
+    scale = (1 - (n + 1) * alpha) / (1 - (n + 1) * xmin)
+    return tuple(alpha + scale * (xi - xmin) for xi in x)
+
+
+def assert_exactly(point, expected):
+    assert all(type(c) is F for c in point)
+    assert tuple(point) == tuple(expected)
+
+
+#: Pairwise coprime denominators, from small to past 64 bits.
+PRIMES = (10_007, 10_009, 99_991, 1_000_003, 2**31 - 1, 2**61 - 1, 2**89 - 1)
+
+
+@st.composite
+def coprime_points(draw, n):
+    """A point of the n-simplex whose coordinates have large, pairwise
+    coprime denominators: n coordinates k/q below 1/(n+1) with distinct
+    primes q, and the remainder, placed at a random slot."""
+    qs = draw(st.permutations(PRIMES))[:n]
+    coords = [F(draw(st.integers(0, q // (n + 1))), q) for q in qs]
+    coords.insert(draw(st.integers(0, n)), 1 - sum(coords))
+    return BaryPoint(coords)
+
+
+@st.composite
+def large_rationals(draw, top):
+    """A rational in [0, top] with a large prime denominator, ends included."""
+    q = draw(st.sampled_from(PRIMES))
+    return top * F(draw(st.integers(0, q)), q)
+
+
+def _spelled(draw, c):
+    """``c`` as a Fraction, its ``p/q`` string, or an int when integral."""
+    kinds = ["fraction", "string"] + (["int"] if c.denominator == 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    return c if kind == "fraction" else str(c) if kind == "string" else int(c)
+
+
+@st.composite
+def candidate_coords(draw):
+    """Coordinates over a large D whose sum is 1 or 1 +- 1/D, sometimes
+    with a negative coordinate, spelled as a mix of int, str and Fraction."""
+    D = draw(st.sampled_from((1,) + PRIMES)) * draw(st.sampled_from((1, 6, 10_007)))
+    k = draw(st.integers(1, 6))
+    total = max(D + draw(st.sampled_from((-1, 0, 0, 1))), 0)
+    cuts = sorted(draw(st.integers(0, total)) for _ in range(k - 1))
+    nums = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    if k > 1 and draw(st.booleans()):  # make a coordinate negative, same sum
+        m, other = draw(st.permutations(range(k)))[:2]
+        moved = nums[m] + draw(st.integers(1, D))
+        nums[m] -= moved
+        nums[other] += moved
+    return [_spelled(draw, F(p, D)) for p in nums]
+
+
+@settings(max_examples=400)
+@given(candidate_coords())
+def test_barypoint_accepts_what_the_fraction_check_accepts(coords):
+    try:
+        point = BaryPoint(coords)
+    except ValueError:
+        assert not reference_accepts(coords)
+    else:
+        assert reference_accepts(coords)
+        assert_exactly(point, (F(c) for c in coords))
+
+
+def test_barypoint_rejections():
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        BaryPoint([])
+    with pytest.raises(ValueError, match="negative"):
+        BaryPoint(["-1/10007", 1, F(1, 10_007)])  # sums to 1
+    q, r = 10_007, 10_009
+    D = q * r
+    near = [F(1, q), "1/10009", 1 - F(1, q) - F(1, r)]
+    assert BaryPoint(near)
+    for off in (F(1, D), -F(1, D)):
+        with pytest.raises(ValueError, match="must sum to 1"):
+            BaryPoint(near[:2] + [near[2] + off])
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_segment_eval_matches_fraction_formula(data):
+    n = data.draw(st.integers(1, 6))
+    a, b = data.draw(coprime_points(n)), data.draw(coprime_points(n))
+    t = data.draw(large_rationals(1))
+    assert_exactly(segment_eval(a, b, t), reference_segment_eval(a, b, t))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_project_layer_matches_fraction_formula(data):
+    n = data.draw(st.integers(1, 6))
+    x = data.draw(coprime_points(n))
+    alpha = data.draw(large_rationals(F(1, n + 1)))
+    assert_exactly(project_layer(x, alpha), reference_project_layer(x, alpha))
 
 
 def test_center_examples():

@@ -32,6 +32,7 @@ from simplexboundary.theta import (
 )
 
 from test_comfort import points
+from test_geometry import assert_exactly, coprime_points
 
 
 def small_grid(n, k=10):
@@ -84,6 +85,30 @@ def test_face_delete_inverts_face_insert_property(data):
     key = FaceMap(L, n, data.draw(st.integers(0, L)), data.draw(st.integers(0, n)))
     x = data.draw(points(n - 1))
     assert face_delete(key, face_insert(key, x)) == x
+
+
+def reference_face_insert(key, x):
+    v = key.v
+    coords = [(1 - v) * c for c in x]
+    coords.insert(key.j, v)
+    return coords
+
+
+def reference_face_delete(key, y):
+    scale = 1 / (1 - key.v)
+    return [scale * c for m, c in enumerate(y) if m != key.j]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_face_maps_match_fraction_formulas(data):
+    L = data.draw(st.integers(0, 3))
+    n = data.draw(st.integers(1, 7))
+    key = FaceMap(L, n, data.draw(st.integers(0, L)), data.draw(st.integers(0, n)))
+    x = data.draw(coprime_points(n - 1))
+    y = face_insert(key, x)
+    assert_exactly(y, reference_face_insert(key, x))
+    assert_exactly(face_delete(key, y), reference_face_delete(key, y))
 
 
 def test_face_insert_respects_permutations():
