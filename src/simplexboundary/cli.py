@@ -35,6 +35,7 @@ from .geometry import (
     DEFAULT_DENOMINATOR,
     DEFAULT_SEED,
     BaryPoint,
+    CenterProjection,
     canonical_grid,
     format_point,
     parse_point,
@@ -258,7 +259,15 @@ def _resolve_map(map_id: str) -> Tuple[int, PointMap]:
             raise UsageError(f"pi_alpha map id needs n and alpha: {map_id!r}") from exc
         if n < 0 or not 0 <= alpha <= Fraction(1, n + 1):
             raise UsageError(f"pi_alpha level {alpha} outside [0, 1/{n + 1}]")
-        return n, lambda x: project_layer(x, alpha)
+
+        def pi_alpha(x: BaryPoint) -> BaryPoint:
+            # The center lies outside the projection's domain: a usage error.
+            try:
+                return project_layer(x, alpha)
+            except CenterProjection as exc:
+                raise UsageError(str(exc)) from exc
+
+        return n, pi_alpha
     elif head == "counterexample":
         homeo = counterexample_map()
     else:
@@ -280,13 +289,11 @@ def cmd_eval(args) -> int:
     values = []
     for point in points:
         if point.dim != dim:
-            print(
-                f"error: map expects dimension {dim}, point has dimension {point.dim}",
-                file=sys.stderr,
-            )
-            return 1
+            raise UsageError(f"map expects dimension {dim}, point has dimension {point.dim}")
         try:
             values.append(fn(point))
+        except UsageError:
+            raise
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -36,6 +36,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from .geometry import (
     DEFAULT_SEED,
     BaryPoint,
+    _over_common_denominator,
     apply_perm,
     center,
     format_point,
@@ -113,27 +114,42 @@ def identity_homeo(n: int) -> SimplexHomeo:
 
 
 def _lift(f: PLMap, n: int) -> PointMap:
-    cval = Fraction(1, n + 1)
+    # Over the common denominator D, x_m = X_m/D, and slot m is small when
+    # X_m*(n+1) <= D.  A small slot maps to (a*X_m + b*D)/(C*D) on its
+    # piece of f's table; the defect S = sum over small slots of
+    # C*X_m - a*X_m - b*D, over C*D, is spread over the big slots in
+    # proportion to x_m - 1/(n+1), whose sum is Bg/((n+1)*D) with
+    # Bg = sum over big slots of (n+1)*X_m - D.  Every coordinate is then
+    # over E = C*Bg*D.
+    k = n + 1
+    C, pieces = f.pieces
 
     def forward(x: BaryPoint) -> BaryPoint:
-        perm = sort_perm(x)
-        r = -1
-        while r + 1 <= n and x[perm[r + 1]] <= cval:
-            r += 1
-        if r == n:
+        X, D = _over_common_denominator(x)
+        perm = sort_perm(X)
+        out = [0] * k
+        defect = 0
+        table = iter(pieces)
+        rp, rq, a, b = next(table)
+        for r, slot in enumerate(perm):
+            xm = X[slot]
+            if xm * k > D:
+                break
+            while xm * rq > rp * D:  # small slots ascend, so the pieces only move right
+                rp, rq, a, b = next(table)
+            out[slot] = a * xm + b * D
+            defect += C * xm - out[slot]
+        else:
             return x  # all coordinates equal 1/(n+1): the center, fixed
-        y = list(x)
-        dsum = Fraction(0)
-        for m in range(r + 1):
-            slot = perm[m]
-            y[slot] = pl_eval(f, x[slot])
-            dsum += x[slot] - y[slot]
-        big = sum(x[perm[m]] - cval for m in range(r + 1, n + 1))
-        delta = dsum / big
-        for m in range(r + 1, n + 1):
-            slot = perm[m]
-            y[slot] = x[slot] + delta * (x[slot] - cval)
-        return BaryPoint(y)
+        big = perm[r:]
+        bg = sum(k * X[slot] - D for slot in big)
+        for slot in perm[:r]:
+            out[slot] *= bg
+        cbg = C * bg
+        for slot in big:
+            out[slot] = X[slot] * cbg + defect * (k * X[slot] - D)
+        E = cbg * D
+        return BaryPoint([Fraction(num, E) for num in out])
 
     return forward
 
@@ -142,11 +158,15 @@ def lambda_lift(f: PLMap, n: int) -> SimplexHomeo:
     """Lift an increasing homeomorphism of [0, 1/(n+1)] to the n-simplex.
 
     Coordinates at most 1/(n+1) are mapped through ``f``; the resulting
-    defect D is redistributed proportionally over the remaining
+    defect is redistributed proportionally over the remaining
     coordinates, which keeps the coordinate sum at exactly 1.  The
     inverse is the lift of ``f``'s inverse, whose redistribution undoes
     the forward one exactly; ``f`` fixes 1/(n+1), so both lifts agree on
     which coordinates are small.
+
+    Both directions run on integer numerators over the point's common
+    denominator, with ``f`` read off its piece table; each output
+    coordinate is reduced once.
     """
     cval = Fraction(1, n + 1)
     if f.domain != (Fraction(0), cval):

@@ -129,8 +129,11 @@ def min_value(x: Sequence[Fraction]) -> Fraction:
     return min(x)
 
 
-def sort_perm(x: Sequence[Fraction]) -> Tuple[int, ...]:
+def sort_perm(x: Sequence) -> Tuple[int, ...]:
     """Permutation placing the coordinates in ascending order.
+
+    ``x`` may be the coordinates or their integer numerators over one
+    common denominator, which sort the same way.
 
     Ties are broken by the original index (stable), which keeps runs
     reproducible; downstream maps are permutation-respecting, so results

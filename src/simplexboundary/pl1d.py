@@ -3,6 +3,10 @@
 A ``PLMap`` is stored as its ordered breakpoint list and normalized so
 that collinear interior breakpoints are removed; two maps are equal as
 functions exactly when their normalized breakpoint tuples are equal.
+Evaluation runs on integer numerators: each map computes, once, a piece
+table that gives every linear piece as its right end and two integers
+a, b over one common denominator C, so that f(t) = (a*t + b)/C there.
+At t = p/q the value is (a*p + b*q)/(C*q), reduced once.
 Besides the generic operations (evaluate, invert, compose) the module
 provides the named constructors used by the simplex homeomorphisms: the
 symmetric seed polygon ``kappa``, the ``phi_n0`` family, the three-point
@@ -12,14 +16,19 @@ extension.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
-from .geometry import BaryPoint, format_rational
+from .geometry import BaryPoint, _over_common_denominator, format_rational
 
 Breakpoint = Tuple[Fraction, Fraction]
+
+#: One linear piece (rp, rq, a, b): on the piece with right end rp/rq,
+#: f(t) = (a*t + b)/C for the table's common denominator C.
+Piece = Tuple[int, int, int, int]
 
 
 class NonMonotone(ValueError):
@@ -64,6 +73,20 @@ class PLMap:
     def domain(self) -> Tuple[Fraction, Fraction]:
         return (self.lo, self.hi)
 
+    @cached_property
+    def pieces(self) -> Tuple[int, Tuple[Piece, ...]]:
+        """The piece table (C, pieces), left to right, computed on first use.
+
+        C is the least common denominator of every slope and intercept, so
+        that each piece's a = C*slope and b = C*intercept are integers.
+        """
+        pts = self.points
+        lines = [(u1, _line(u0, v0, u1, v1)) for (u0, v0), (u1, v1) in zip(pts, pts[1:])]
+        C = math.lcm(*(den for _, (_, _, den) in lines))
+        return C, tuple(
+            (u.numerator, u.denominator, a * (C // den), b * (C // den)) for u, (a, b, den) in lines
+        )
+
     def __call__(self, t: Fraction) -> Fraction:
         return pl_eval(self, t)
 
@@ -77,30 +100,54 @@ class PLMap:
         return f"PLMap[{pts}]"
 
 
+def _exact(c) -> Fraction:
+    """``c`` as a ``Fraction``; a value that is already one is kept."""
+    return c if type(c) is Fraction else Fraction(c)
+
+
+def _line(u0: Fraction, v0: Fraction, u1: Fraction, v1: Fraction) -> Tuple[int, int, int]:
+    """The line through (u0, v0) and (u1, v1), u0 < u1, as integers (a, b, den)
+    in lowest terms with den > 0, so that it maps t to (a*t + b)/den.
+
+    With u = p/q and v = r/s, a = (r1*s0 - r0*s1)*q0*q1,
+    b = r0*p1*s1*q0 - r1*p0*s0*q1 and den = s0*s1*(p1*q0 - p0*q1).
+    """
+    p0, q0, p1, q1 = u0.numerator, u0.denominator, u1.numerator, u1.denominator
+    r0, s0, r1, s1 = v0.numerator, v0.denominator, v1.numerator, v1.denominator
+    a = (r1 * s0 - r0 * s1) * q0 * q1
+    b = r0 * p1 * s1 * q0 - r1 * p0 * s0 * q1
+    den = s0 * s1 * (p1 * q0 - p0 * q1)
+    g = math.gcd(a, b, den)
+    return a // g, b // g, den // g
+
+
 def _normalize(points: Sequence[Breakpoint]) -> Tuple[Breakpoint, ...]:
-    # Drop interior breakpoints where the slope does not change, so map
-    # equality is decidable by comparing breakpoint tuples.
-    out: List[Breakpoint] = []
-    for pt in points:
-        while len(out) >= 2:
-            (x0, y0), (x1, y1) = out[-2], out[-1]
-            x2, y2 = pt
-            if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
-                out.pop()
-            else:
-                break
-        out.append(pt)
+    # Drop interior breakpoints where the line does not change, so map
+    # equality is decidable by comparing breakpoint tuples.  A line in
+    # lowest terms is unique, so two segments are collinear exactly when
+    # their lines are equal.
+    out: List[Breakpoint] = list(points[:1])
+    prev = None
+    for (u0, v0), (u1, v1) in zip(points, points[1:]):
+        line = _line(u0, v0, u1, v1)
+        if line == prev:
+            out[-1] = (u1, v1)
+        else:
+            out.append((u1, v1))
+        prev = line
     return tuple(out)
 
 
 def polygon(points: Iterable, domain: Tuple = None) -> PLMap:
     """The increasing polygon through the given (input, output) pairs.
 
-    Exact duplicate pairs are collapsed first.  After deduplication both
-    the inputs and the outputs must be strictly increasing; if a domain
-    is supplied its endpoints must occur among the breakpoint inputs.
+    Exact duplicate pairs are collapsed first: they are adjacent once the
+    pairs are sorted.  After deduplication both the inputs and the outputs
+    must be strictly increasing; if a domain is supplied its endpoints
+    must occur among the breakpoint inputs.
     """
-    pairs = sorted({(Fraction(u), Fraction(v)) for u, v in points})
+    ordered = sorted((_exact(u), _exact(v)) for u, v in points)
+    pairs = [pt for pt, prev in zip(ordered, [None] + ordered) if pt != prev]
     if len(pairs) < 2:
         raise NonMonotone(f"a polygon needs at least two distinct points, got {pairs!r}")
     for (u0, v0), (u1, v1) in zip(pairs, pairs[1:]):
@@ -125,19 +172,17 @@ def identity_map(lo, hi) -> PLMap:
 
 
 def pl_eval(f: PLMap, t: Fraction) -> Fraction:
-    """Exact value of ``f`` at ``t`` by linear interpolation."""
-    t = Fraction(t)
-    if not f.lo <= t <= f.hi:
-        raise OutOfDomain(f"{format_rational(t)} outside [{f.lo}, {f.hi}]")
-    inputs = [u for u, _ in f.points]
-    idx = bisect_right(inputs, t)
-    if idx == len(inputs):
-        return f.points[-1][1]
-    x0, y0 = f.points[idx - 1] if idx > 0 else f.points[0]
-    x1, y1 = f.points[idx]
-    if t == x0:
-        return y0
-    return y0 + (t - x0) * (y1 - y0) / (x1 - x0)
+    """Exact value of ``f`` at ``t``, read off the piece table: for t = p/q
+    the first piece with t <= rp/rq gives (a*p + b*q)/(C*q)."""
+    t = _exact(t)
+    p, q = t.numerator, t.denominator
+    lo = f.lo
+    if p * lo.denominator >= lo.numerator * q:
+        C, pieces = f.pieces
+        for rp, rq, a, b in pieces:
+            if p * rq <= rp * q:
+                return Fraction(a * p + b * q, C * q)
+    raise OutOfDomain(f"{format_rational(t)} outside [{f.lo}, {f.hi}]")
 
 
 def pl_inverse(f: PLMap) -> PLMap:
@@ -210,29 +255,37 @@ def tau_polygon(b: BaryPoint, c: BaryPoint, alpha, beta) -> PLMap:
     through ((α-b_j)/(1/(n+1)-b_j), (β-c_j)/(1/(n+1)-c_j)); coincident
     pairs collapse.  Monotonicity of the resulting breakpoints encodes
     that the boundary map keeps the order and matches the crosses.
+
+    The tests and breakpoints run on integer numerators: with b = B/Db,
+    α = pa/qa and k = n+1, b_j <= α reads qa*B_j <= pa*Db and the input
+    breakpoint is k*(pa*Db - qa*B_j) / (qa*(Db - k*B_j)); likewise for c
+    and β.
     """
     if len(b) != len(c):
         raise ValueError("boundary point and image have different dimensions")
-    n = b.dim
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    cv = Fraction(1, n + 1)
-    if not (0 <= alpha < cv and 0 <= beta < cv):
-        raise ValueError(f"levels ({alpha}, {beta}) must lie in [0, 1/{n + 1})")
-    if min(b) != 0 or min(c) != 0:
+    k = len(b)
+    alpha, beta = _exact(alpha), _exact(beta)
+    pa, qa, pb, qb = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    if not (0 <= pa and k * pa < qa and 0 <= pb and k * pb < qb):
+        raise ValueError(f"levels ({alpha}, {beta}) must lie in [0, 1/{k})")
+    B, Db = _over_common_denominator(b)
+    Cn, Dc = _over_common_denominator(c)
+    if min(B) != 0 or min(Cn) != 0:
         raise ValueError("tau is defined for boundary points only")
-    for bj, cj in zip(b, c):
-        if (bj == alpha) != (cj == beta):
+    level_b, level_c = pa * Db, pb * Dc  # α and β over Db and Dc, times qa and qb
+    for j, (bj, cj) in enumerate(zip(B, Cn)):
+        if (qa * bj == level_b) != (qb * cj == level_c):
             raise CrossMismatch(
-                f"component {format_rational(bj)} of b sits on level {alpha} "
-                f"but its image {format_rational(cj)} misses level {beta}"
+                f"component {format_rational(b[j])} of b sits on level {alpha} "
+                f"but its image {format_rational(c[j])} misses level {beta}"
             )
-    pairs = {(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))}
-    for bj, cj in zip(b, c):
-        if bj <= alpha:
-            if cj >= cv:
-                raise NonMonotone(
-                    f"image component {format_rational(cj)} should be below 1/{n + 1}"
-                )
-            pairs.add(((alpha - bj) / (cv - bj), (beta - cj) / (cv - cj)))
+    pairs = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
+    for j, (bj, cj) in enumerate(zip(B, Cn)):
+        if qa * bj <= level_b:
+            if k * cj >= Dc:
+                raise NonMonotone(f"image component {format_rational(c[j])} should be below 1/{k}")
+            pairs.append((
+                Fraction(k * (level_b - qa * bj), qa * (Db - k * bj)),
+                Fraction(k * (level_c - qb * cj), qb * (Dc - k * cj)),
+            ))
     return polygon(pairs, domain=(0, 1))
-

@@ -4,6 +4,7 @@ import pytest
 
 from simplexboundary import cli
 from simplexboundary.cli import main
+from simplexboundary.comfort import SimplexHomeo
 
 
 def run(capsys, *argv):
@@ -99,9 +100,35 @@ def test_eval_bad_map_ids(capsys):
 
 
 def test_eval_dimension_violation(capsys):
-    code, _, stderr = run(capsys, "eval", "--map", "theta:L=1,n=1,i=0", "--point", "[1/3,1/3,1/3]")
-    assert code == 1
-    assert "dimension" in stderr
+    # A point of the wrong dimension is a usage error, not a violation.
+    code, stdout, stderr = run(
+        capsys, "eval", "--map", "theta:L=1,n=1,i=1", "--point", "[1/3,1/3,1/3]"
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == "usage error: map expects dimension 1, point has dimension 2\n"
+
+
+def test_eval_projection_at_the_center_is_usage_error(capsys):
+    code, stdout, stderr = run(
+        capsys, "eval", "--map", "pi_alpha:n=2,alpha=0", "--point", "[1/3,1/3,1/3]"
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == "usage error: projection to layer 0 undefined at the center\n"
+    # The center is in the domain of the projection onto the center itself.
+    code, stdout, _ = run(
+        capsys, "eval", "--map", "pi_alpha:n=2,alpha=1/3", "--point", "[1/3,1/3,1/3]"
+    )
+    assert (code, stdout) == (0, "[1/3,1/3,1/3]\n")
+
+
+def test_eval_map_failure_at_a_valid_point_exits_one(capsys, monkeypatch):
+    def refuse(x):
+        raise ValueError("no image here")
+
+    monkeypatch.setattr(cli, "theta", lambda key: SimplexHomeo(key.n, refuse, refuse))
+    code, stdout, stderr = run(capsys, "eval", "--map", "theta:L=1,n=1,i=1", "--point", "[1/4,3/4]")
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: no image here\n"
 
 
 def test_bad_flags_exit_two():

@@ -30,9 +30,18 @@ from simplexboundary.geometry import (
     on_cross,
     project_boundary,
 )
-from simplexboundary.pl1d import identity_map, phi_n0, pl_compose, pl_eval, polygon, sigma_polygon
+from simplexboundary.pl1d import (
+    identity_map,
+    phi_n0,
+    pl_compose,
+    pl_eval,
+    pl_inverse,
+    polygon,
+    sigma_polygon,
+)
 
-from test_pl1d import pl_homeos, random_homeo
+from test_geometry import assert_exactly, coprime_points, lattice_points
+from test_pl1d import pl_homeos, random_homeo, reference_pl_eval
 
 
 def small_grid(n, k=12):
@@ -266,6 +275,38 @@ def points(draw, n):
     if not any(parts):
         parts[draw(st.integers(0, n))] = 1
     return BaryPoint(F(p, sum(parts)) for p in parts)
+
+
+def reference_lift(f, n):
+    """The lift in plain ``Fraction`` arithmetic, as a point function."""
+    cval = F(1, n + 1)
+
+    def forward(x):
+        if all(c == cval for c in x):
+            return tuple(x)
+        small = [m for m, c in enumerate(x) if c <= cval]
+        y = list(x)
+        for m in small:
+            y[m] = reference_pl_eval(f, x[m])
+        big = [m for m in range(n + 1) if m not in small]
+        delta = sum(x[m] - y[m] for m in small) / sum(x[m] - cval for m in big)
+        for m in big:
+            y[m] = x[m] + delta * (x[m] - cval)
+        return tuple(y)
+
+    return forward
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_lift_matches_reference(data):
+    n = data.draw(st.integers(1, 5))
+    f = data.draw(pl_homeos(F(1, n + 1)) | st.just(phi_n0(n)))
+    lifted = lambda_lift(f, n)
+    x = data.draw(st.just(center(n)) | lattice_points(n) | coprime_points(n))
+    y = lifted(x)
+    assert_exactly(y, reference_lift(f, n)(x))
+    assert_exactly(lifted.inverse_at(y), reference_lift(pl_inverse(f), n)(y))
 
 
 def _assert_inverse_laws(h, x, y):

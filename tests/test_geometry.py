@@ -8,6 +8,7 @@ from simplexboundary.geometry import (
     BaryPoint,
     CenterProjection,
     DimensionMismatch,
+    _over_common_denominator,
     apply_perm,
     boundary_samples,
     canonical_grid,
@@ -86,6 +87,15 @@ def coprime_points(draw, n):
     coords = [F(draw(st.integers(0, q // (n + 1))), q) for q in qs]
     coords.insert(draw(st.integers(0, n)), 1 - sum(coords))
     return BaryPoint(coords)
+
+
+@st.composite
+def lattice_points(draw, n):
+    """A point of the n-simplex over D = (n+1)*m with m <= 3, so that ties,
+    zeros, coordinates exactly 1/(n+1) and the center come up often."""
+    D = (n + 1) * draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.integers(0, D), min_size=n, max_size=n)))
+    return BaryPoint(F(hi - lo, D) for lo, hi in zip([0] + cuts, cuts + [D]))
 
 
 @st.composite
@@ -181,6 +191,14 @@ def test_sort_perm_stable_on_ties():
     x = BaryPoint([F(1, 6), F(1, 6), F(2, 3)])
     assert sort_perm(x) == (0, 1, 2)
     assert sort_perm(BaryPoint([F(2, 3), F(1, 6), F(1, 6)])) == (1, 2, 0)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_sort_perm_of_numerators_matches_coordinates(data):
+    n = data.draw(st.integers(1, 6))
+    x = data.draw(lattice_points(n) | coprime_points(n))
+    assert sort_perm(_over_common_denominator(x)[0]) == sort_perm(x)
 
 
 def test_project_layer_examples():

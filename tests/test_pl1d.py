@@ -1,10 +1,12 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simplexboundary.comfort import lambda_lift
 from simplexboundary.geometry import BaryPoint
 from simplexboundary.pl1d import (
     BadEndpoints,
@@ -43,6 +45,177 @@ def pl_homeos(draw, hi=F(1), den=48):
     inner = st.lists(st.integers(1, den - 1), min_size=k, max_size=k, unique=True)
     xs, ys = sorted(draw(inner)), sorted(draw(inner))
     return polygon([(0, 0), (hi, hi)] + [(hi * F(a, den), hi * F(b, den)) for a, b in zip(xs, ys)])
+
+
+# ---------------------------------------------------------------------------
+# Reference formulas: the plain ``Fraction`` arithmetic the integer piece
+# table and breakpoints must reproduce exactly.
+
+
+def reference_normalize(points):
+    out = []
+    for pt in points:
+        while len(out) >= 2:
+            (x0, y0), (x1, y1) = out[-2], out[-1]
+            x2, y2 = pt
+            if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
+                out.pop()
+            else:
+                break
+        out.append(pt)
+    return tuple(out)
+
+
+def reference_polygon(points, domain=None):
+    pairs = sorted({(F(u), F(v)) for u, v in points})
+    if len(pairs) < 2:
+        raise NonMonotone(f"a polygon needs at least two distinct points, got {pairs!r}")
+    for (u0, v0), (u1, v1) in zip(pairs, pairs[1:]):
+        if u0 == u1:
+            raise NonMonotone(f"inputs collide at {u0}: outputs {v0} and {v1}")
+        if v0 >= v1:
+            raise NonMonotone(f"outputs not strictly increasing at input {u1}: {v0} then {v1}")
+    if domain is not None:
+        lo, hi = F(domain[0]), F(domain[1])
+        if pairs[0][0] != lo or pairs[-1][0] != hi:
+            raise BadEndpoints(
+                f"breakpoints span [{pairs[0][0]}, {pairs[-1][0]}], expected [{lo}, {hi}]"
+            )
+    return PLMap(reference_normalize(pairs))
+
+
+def reference_pl_eval(f, t):
+    t = F(t)
+    if not f.lo <= t <= f.hi:
+        raise OutOfDomain(f"{t} outside [{f.lo}, {f.hi}]")
+    inputs = [u for u, _ in f.points]
+    idx = bisect_right(inputs, t)
+    if idx == len(inputs):
+        return f.points[-1][1]
+    x0, y0 = f.points[idx - 1] if idx > 0 else f.points[0]
+    x1, y1 = f.points[idx]
+    if t == x0:
+        return y0
+    return y0 + (t - x0) * (y1 - y0) / (x1 - x0)
+
+
+def reference_tau_polygon(b, c, alpha, beta):
+    if len(b) != len(c):
+        raise ValueError("boundary point and image have different dimensions")
+    n = b.dim
+    alpha, beta = F(alpha), F(beta)
+    cv = F(1, n + 1)
+    if not (0 <= alpha < cv and 0 <= beta < cv):
+        raise ValueError(f"levels ({alpha}, {beta}) must lie in [0, 1/{n + 1})")
+    if min(b) != 0 or min(c) != 0:
+        raise ValueError("tau is defined for boundary points only")
+    for bj, cj in zip(b, c):
+        if (bj == alpha) != (cj == beta):
+            raise CrossMismatch(
+                f"component {bj} of b sits on level {alpha} "
+                f"but its image {cj} misses level {beta}"
+            )
+    pairs = {(F(0), F(0)), (F(1), F(1))}
+    for bj, cj in zip(b, c):
+        if bj <= alpha:
+            if cj >= cv:
+                raise NonMonotone(f"image component {cj} should be below 1/{n + 1}")
+            pairs.add(((alpha - bj) / (cv - bj), (beta - cj) / (cv - cj)))
+    return reference_polygon(pairs, domain=(0, 1))
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the ``ValueError`` it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+#: Large primes, so that arguments carry denominators unrelated to the map's.
+PRIMES = (10_007, 99_991, 2**31 - 1, 2**61 - 1)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_pl_eval_matches_reference(data):
+    hi = F(1, data.draw(st.integers(1, 7)))
+    f = data.draw(pl_homeos(hi))
+    q = data.draw(st.sampled_from(PRIMES))
+    ts = [hi * F(data.draw(st.integers(0, q)), q) for _ in range(4)]
+    ts += [u for u, _ in f.points]  # every breakpoint, both endpoints included
+    for t in ts:
+        value = pl_eval(f, t)
+        assert type(value) is F and value == reference_pl_eval(f, t)
+    for t in (-F(1, q), hi + F(1, q)):
+        assert outcome(pl_eval, f, t) == outcome(reference_pl_eval, f, t)
+        assert outcome(pl_eval, f, t)[0] is OutOfDomain
+
+
+@st.composite
+def boundary_points(draw, n, alpha):
+    """A point of the n-simplex with a zero coordinate, some coordinates
+    exactly ``alpha`` and some below it."""
+    on_level = draw(st.integers(0, n - 1))
+    q = draw(st.sampled_from((7, 60) + PRIMES))
+    below = draw(st.lists(st.integers(0, q - 1), max_size=n - 1 - on_level))
+    below = [alpha * F(i, q) for i in below]
+    free = n - on_level - len(below)
+    cuts = sorted(draw(st.lists(st.integers(0, q), min_size=free - 1, max_size=free - 1)))
+    rest = 1 - on_level * alpha - sum(below)
+    coords = [F(0)] + [alpha] * on_level + below
+    coords += [rest * F(hi - lo, q) for lo, hi in zip([0] + cuts, cuts + [q])]
+    return BaryPoint(draw(st.permutations(coords)))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_tau_polygon_matches_reference(data):
+    n = data.draw(st.integers(1, 5))
+    if data.draw(st.integers(0, 3)) == 3:
+        alpha = beta = F(0)
+    else:  # two distinct levels in (0, 1/(n+1))
+        i, j = data.draw(st.integers(1, 11)), data.draw(st.integers(1, 10))
+        alpha, beta = F(i, 12 * (n + 1)), F(j + (j >= i), 12 * (n + 1))
+    b = data.draw(boundary_points(n, alpha))
+    if data.draw(st.booleans()):
+        # The image under a lift with alpha -> beta matches the crosses.
+        c = lambda_lift(sigma_polygon(alpha, beta, F(1, n + 1)), n)(b)
+    else:  # an unrelated boundary point: mostly the error paths
+        c = data.draw(boundary_points(n, beta))
+    expected = outcome(reference_tau_polygon, b, c, alpha, beta)
+    assert outcome(tau_polygon, b, c, alpha, beta) == expected
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_polygon_matches_reference(data):
+    grid = st.integers(0, 6)
+    us, vs = (sorted(data.draw(st.lists(grid, min_size=1, max_size=7, unique=True))) for _ in "uv")
+    points = [(F(u, 6), F(v, 6)) for u, v in zip(us, vs)]  # increasing
+    points += [(F(u, 6), F(v, 6)) for u, v in data.draw(st.lists(st.tuples(grid, grid), max_size=2))]
+    points += points[: len(points) // 2]  # exact duplicates
+    points = data.draw(st.permutations(points))
+    domain = data.draw(st.sampled_from((None, (0, 1))))
+    assert outcome(polygon, points, domain) == outcome(reference_polygon, points, domain)
+
+
+def test_polygon_duplicates_collapse_and_errors_keep_their_messages():
+    half = (F(1, 2), F(1, 3))
+    assert polygon([(0, 0), half, (1, 1), half, (0, 0)]).points == ((0, 0), half, (1, 1))
+    with pytest.raises(NonMonotone, match="^inputs collide at 1/2: outputs 1/3 and 2/3$"):
+        polygon([(0, 0), half, (F(1, 2), F(2, 3)), (1, 1)])
+    descent = "^outputs not strictly increasing at input 1: 2/3 then 1/2$"
+    with pytest.raises(NonMonotone, match=descent):
+        polygon([(0, 0), (F(1, 2), F(2, 3)), (1, F(1, 2))])
+    with pytest.raises(NonMonotone, match=r"^a polygon needs at least two distinct points, got "
+                                          r"\[\(Fraction\(0, 1\), Fraction\(0, 1\)\)\]$"):
+        polygon([(0, 0), (F(0), F(0))])
+
+
+def test_piece_table_of_kappa():
+    # Slopes 4/5, 6/5, 4/5 and intercepts 0, -1/10, 1/5 over C = 10.
+    assert kappa().pieces == (10, ((1, 4, 8, 0), (3, 4, 12, -1), (1, 1, 8, 2)))
 
 
 def test_polygon_examples():
