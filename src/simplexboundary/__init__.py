@@ -17,12 +17,9 @@ from .geometry import (
     center,
     format_point,
     format_rational,
-    in_section,
-    in_sponge,
     min_value,
     on_boundary,
     on_cross,
-    on_layer,
     parse_point,
     parse_rational,
     project_boundary,
@@ -69,9 +66,7 @@ from .chain import (
     RingSpec,
     SingularTerm,
     boundary,
-    chain_add,
     chain_of_term,
-    chain_scale,
     check_boundary_squared,
     check_equation,
     equation_instances,

@@ -215,19 +215,6 @@ def chain_of_term(term: SingularTerm, ring: RingSpec = INTEGERS, coeff: int = 1)
     return Chain.make(ring, term.domain_dim, {term: coeff})
 
 
-def chain_add(c1: Chain, c2: Chain) -> Chain:
-    if c1.ring != c2.ring or c1.dim != c2.dim:
-        raise ValueError("chains live over different rings or dimensions")
-    entries: Dict[SingularTerm, int] = dict(c1.terms)
-    for term, coeff in c2.terms:
-        entries[term] = entries.get(term, 0) + coeff
-    return Chain.make(c1.ring, c1.dim, entries)
-
-
-def chain_scale(c: Chain, r: int) -> Chain:
-    return Chain.make(c.ring, c.dim, {t: coeff * r for t, coeff in c.terms})
-
-
 def _face_summands(
     term: SingularTerm, m: CoefficientTuple
 ) -> Iterator[Tuple[Tuple[int, int], int, SingularTerm]]:

@@ -149,12 +149,6 @@ def apply_perm(x: Sequence[Fraction], perm: Sequence[int]) -> BaryPoint:
     return BaryPoint(tuple(x[p] for p in perm))
 
 
-def transposition(n: int, a: int, b: int) -> Tuple[int, ...]:
-    perm = list(range(n + 1))
-    perm[a], perm[b] = perm[b], perm[a]
-    return tuple(perm)
-
-
 def segment_eval(a: BaryPoint, b: BaryPoint, t: Fraction) -> BaryPoint:
     """Exact convex combination ``t*a + (1-t)*b``; t=1 gives ``a``."""
     if len(a) != len(b):
@@ -217,29 +211,9 @@ def on_cross(x: BaryPoint, alpha) -> bool:
     return any(xi == alpha for xi in x)
 
 
-def on_layer(x: BaryPoint, alpha) -> bool:
-    """Whether the smallest coordinate of ``x`` equals ``alpha``."""
-    alpha = Fraction(alpha)
-    if not 0 <= alpha <= Fraction(1, x.dim + 1):
-        raise ValueError(f"layer level {alpha} outside [0, 1/{x.dim + 1}]")
-    return min(x) == alpha
-
-
 def on_boundary(x: BaryPoint) -> bool:
     """Whether ``x`` has a zero coordinate."""
     return any(xi == 0 for xi in x)
-
-
-def in_section(x: BaryPoint, j: int) -> bool:
-    """Whether coordinate j of ``x`` is a smallest one."""
-    if not 0 <= j <= x.dim:
-        raise ValueError(f"section index {j} out of range")
-    return min(x) == x[j]
-
-
-def in_sponge(x: BaryPoint) -> bool:
-    """Whether the coordinates of ``x`` are pairwise distinct."""
-    return len(set(x)) == len(x)
 
 
 # ---------------------------------------------------------------------------
@@ -282,29 +256,30 @@ def sponge_points(
         raise ValueError("denominator too small to host distinct coordinates")
     rng = _child_rng(seed, 1, n)
     k = n + 1
-    points: List[BaryPoint] = []
+    lattice: List[Tuple[int, ...]] = []
     if k <= 3:
+        # Sample the numerator tuples; only the kept ones become points.
         for combo in itertools.product(range(denominator + 1), repeat=k - 1):
             last = denominator - sum(combo)
             if last < 0:
                 continue
             parts = combo + (last,)
             if len(set(parts)) == k:
-                points.append(BaryPoint(Fraction(p, denominator) for p in parts))
-        if cap is not None and len(points) > cap:
-            points = rng.sample(points, cap)
+                lattice.append(parts)
+        if cap is not None and len(lattice) > cap:
+            lattice = rng.sample(lattice, cap)
     else:
         want = cap if cap is not None else 64
         seen = set()
         attempts = 0
-        while len(points) < want and attempts < 200 * want:
+        while len(lattice) < want and attempts < 200 * want:
             attempts += 1
             parts = tuple(_composition(rng, denominator, k))
             if len(set(parts)) != k or parts in seen:
                 continue
             seen.add(parts)
-            points.append(BaryPoint(Fraction(p, denominator) for p in parts))
-    return points
+            lattice.append(parts)
+    return [BaryPoint(Fraction(p, denominator) for p in parts) for parts in lattice]
 
 
 def random_rational_points(

@@ -10,13 +10,14 @@ homeomorphism that precomposes it inside the boundary operator:
 * L = 1, i = 1: built by induction on the dimension — a seven-map
   composite defines it on the boundary faces, and the boundary
   extension carries it inward so that the 1/(2(n+1))-cross lands on the
-  1/(2(n+1)+1)-cross.  The composite is a table of (map, inverse)
-  pairs, resolved once per dimension; its inverse runs the inverses in
-  reverse order, so every member of the family carries an exact inverse.
+  1/(2(n+1)+1)-cross.  Each boundary face has its own table of
+  (map, inverse) pairs, the same seven maps written for its zero slot
+  and resolved once; the inverse runs the inverses in reverse order, so
+  every member of the family carries an exact inverse.
 
-Maps are constructed once per key and cached; after construction the
-cache is read-only and safe to share.  The inductive family is built up
-to dimension ``THETA1_DIM_CAP`` and no further.
+Maps are constructed once per key and cached with ``functools.cache``;
+after construction a map is read-only and safe to share.  The inductive
+family is built up to dimension ``THETA1_DIM_CAP`` and no further.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Tuple
 
 from .comfort import PointMap, SimplexHomeo, extend_from_boundary, identity_homeo, lambda_lift
-from .geometry import BaryPoint, apply_perm, format_point, format_rational, transposition
+from .geometry import BaryPoint, format_point, format_rational
 from .pl1d import kappa, phi_n0, restrict
 
 
@@ -137,14 +138,10 @@ class ThetaKey:
         return f"theta:L={self.L},n={self.n},i={self.i}"
 
 
-_CACHE: Dict[ThetaKey, SimplexHomeo] = {}
-
-
+@functools.cache
 def theta(key: ThetaKey) -> SimplexHomeo:
-    """The homeomorphism for ``key``, built once and cached."""
-    cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
+    """The homeomorphism for ``key``, built once and cached.  A key past
+    the dimension cap raises on every call; the cache keeps no errors."""
     if key.is_identity:
         homeo = identity_homeo(key.n)
     elif key.i == 0:
@@ -161,7 +158,6 @@ def theta(key: ThetaKey) -> SimplexHomeo:
             )
         homeo = theta1_full(key.n)
     homeo.label = key.map_id()
-    _CACHE[key] = homeo
     return homeo
 
 
@@ -183,53 +179,40 @@ def _deleting(key: FaceMap) -> Tuple[PointMap, PointMap]:
 
 
 @functools.cache
-def _face0_steps(dim: int) -> Tuple[Tuple[PointMap, PointMap], ...]:
-    """The seven-map composite on the face with slot 0 zero, as (map,
-    inverse) pairs in order: peel off the zero, undo the previous
-    dimension's lift, apply its inductive map, insert the distinguished
-    cross value, lift once more, and trade the inserted value for the
-    zero.  The Θ maps are resolved once per dimension."""
+def _face_steps(dim: int, j: int) -> Tuple[Tuple[PointMap, PointMap], ...]:
+    """The seven-map composite on the face with slot j zero, as (map,
+    inverse) pairs in order: peel off the zero at slot j, undo the
+    previous dimension's lift, apply its inductive map, insert the
+    distinguished cross value at slot 0, lift once more, put the zero
+    back at slot j (now j+1), and delete the cross value from slot 0.
+    Every map respects permutations, so the faces agree where they
+    meet.  The Θ maps are resolved once per face."""
     lift = theta(ThetaKey(1, dim - 1, 0))
     lower = theta(ThetaKey(1, dim - 1, 1))
     relift = theta(ThetaKey(1, dim, 0))
     return (
-        _deleting(FaceMap(1, dim, 0, 0)),
+        _deleting(FaceMap(1, dim, 0, j)),
         (lift.inverse_at, lift),
         (lower, lower.inverse_at),
         _inserting(FaceMap(1, dim, 1, 0)),
         (relift, relift.inverse_at),
-        _inserting(FaceMap(1, dim + 1, 0, 0)),
-        _deleting(FaceMap(1, dim + 1, 1, 1)),
+        _inserting(FaceMap(1, dim + 1, 0, j + 1)),
+        _deleting(FaceMap(1, dim + 1, 1, 0)),
     )
 
 
-def _on_face(steps: Sequence[Tuple[PointMap, PointMap]], j: int, y: BaryPoint) -> BaryPoint:
-    """Run the first map of each pair on the face with slot j zero: on
-    face 0 directly, on face j conjugated by the transposition of slots
-    0 and j."""
-    if j != 0:
-        swap = transposition(y.dim, 0, j)
-        return apply_perm(_on_face(steps, 0, apply_perm(y, swap)), swap)
-    for step, _ in steps:
-        y = step(y)
-    return y
-
-
 def theta1_on_face(dim: int, j: int, y: BaryPoint) -> BaryPoint:
-    """Value of the inductive map on the boundary face with slot j zero.
-
-    For j = 0 this is the seven-map composite of ``_face0_steps``.  For
-    j > 0 the value is obtained by conjugating with the transposition that
-    swaps slots 0 and j; all seven maps respect permutations, so every
-    face yields consistent values on overlaps.
-    """
+    """Value of the inductive map on the boundary face with slot j zero:
+    the seven-map composite of ``_face_steps(dim, j)``."""
     if dim < 2:
         raise ValueError("the inductive face construction starts at dimension 2")
     if y.dim != dim:
         raise ValueError(f"expected a point of dimension {dim}, got {y.dim}")
     if y[j] != 0:
         raise NotOnFace(f"slot {j} of {format_point(y)} is not zero")
-    return _on_face(_face0_steps(dim), j, y)
+    for step, _ in _face_steps(dim, j):
+        y = step(y)
+    return y
 
 
 def theta1_full(n: int) -> SimplexHomeo:
@@ -238,21 +221,22 @@ def theta1_full(n: int) -> SimplexHomeo:
     The boundary values come from ``theta1_on_face``; the boundary
     extension with levels 1/(2(n+1)) and 1/(2(n+1)+1) produces a
     homeomorphism carrying the first cross onto the second.  Its exact
-    inverse extends the boundary inverse, which runs the face composite
-    in reverse: the same pairs, reversed and swapped, under the same
-    transposition.  The face table and the lower Θ maps it uses are
-    resolved here, once.
+    inverse extends the boundary inverse, which runs the same face
+    table in reverse, each pair's inverse.  The face tables, and the
+    lower Θ maps they use, are resolved here, once.
     """
     if n < 2:
         raise ValueError("the inductive construction starts at dimension 2")
 
-    backward = tuple((inverse, forward) for forward, inverse in reversed(_face0_steps(n)))
+    tables = [_face_steps(n, j) for j in range(n + 1)]
 
     def on_boundary(b: BaryPoint) -> BaryPoint:
         return theta1_on_face(n, _first_zero(b), b)
 
     def on_boundary_inverse(c: BaryPoint) -> BaryPoint:
-        return _on_face(backward, _first_zero(c), c)
+        for _, inverse in reversed(tables[_first_zero(c)]):
+            c = inverse(c)
+        return c
 
     alpha = Fraction(1, 2 * (n + 1))
     beta = Fraction(1, 2 * (n + 1) + 1)

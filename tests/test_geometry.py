@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from simplexboundary.geometry import (
     BaryPoint,
     CenterProjection,
+    DEFAULT_SEED,
     DimensionMismatch,
     _over_common_denominator,
     apply_perm,
@@ -16,13 +19,10 @@ from simplexboundary.geometry import (
     cross_samples,
     format_point,
     format_rational,
-    in_section,
-    in_sponge,
     min_value,
     multi_zero_samples,
     on_boundary,
     on_cross,
-    on_layer,
     parse_point,
     parse_rational,
     project_boundary,
@@ -245,33 +245,15 @@ def test_segment_eval_examples():
 
 def test_classify_examples():
     assert on_cross(vertex(2, 0), 1)
-    for j in range(3):
-        assert in_section(center(2), j)
-    assert not in_sponge(BaryPoint([F(1, 6), F(1, 6), F(2, 3)]))
-    assert in_sponge(BaryPoint([F(1, 6), F(2, 6), F(3, 6)]))
     assert on_boundary(BaryPoint([0, F(1, 3), F(2, 3)]))
+    assert not on_boundary(center(2))
     with pytest.raises(ValueError):
         on_cross(center(2), F(3, 2))
-    with pytest.raises(ValueError):
-        on_layer(center(2), F(1, 2))  # above the center's level 1/3
-    with pytest.raises(ValueError):
-        in_section(center(2), 3)
 
 
 def test_layer_contained_in_cross():
     for x in canonical_grid(2, sponge_cap=20, random_count=20):
-        alpha = min_value(x)
-        assert on_layer(x, alpha)
-        assert on_cross(x, alpha)
-
-
-def test_layers_partition_by_min():
-    # Exactly one layer level contains each point: its minimum coordinate.
-    denominators = [F(a, 12) for a in range(0, 5)]  # 0 .. 4/12 covers [0, 1/3]
-    for x in canonical_grid(2, sponge_cap=10, random_count=10):
-        hits = [lvl for lvl in denominators if on_layer(x, lvl)]
-        expected = [min_value(x)] if min_value(x) in denominators else []
-        assert hits == expected
+        assert on_cross(x, min_value(x))
 
 
 def test_apply_perm_roundtrip():
@@ -295,8 +277,45 @@ def test_sponge_points_are_sponge():
         pts = sponge_points(n, 60, cap=32)
         assert pts
         for x in pts:
-            assert in_sponge(x)
+            assert len(set(x)) == len(x)
             assert all(60 % c.denominator == 0 for c in x)
+
+
+def reference_sponge_lattice(n, denominator):
+    """A point for every lattice point with distinct coordinates, in the
+    order the enumerate-then-sample grid (dimensions 1 and 2) kept them."""
+    k = n + 1
+    points = []
+    for combo in itertools.product(range(denominator + 1), repeat=k - 1):
+        last = denominator - sum(combo)
+        if last < 0:
+            continue
+        parts = combo + (last,)
+        if len(set(parts)) == k:
+            points.append(BaryPoint(F(p, denominator) for p in parts))
+    return points
+
+
+def reference_sponge_sample(points, n, cap, seed):
+    rng = random.Random(seed * 1_000_003 + 9_973 + n)
+    if cap is not None and len(points) > cap:
+        return rng.sample(points, cap)
+    return points
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sponge_points_match_enumerate_then_sample(n):
+    for denominator in (3, 6, 7, 10, 60, 61, 120):
+        if denominator < max(n + 2, n * (n + 1) // 2):
+            continue
+        lattice = reference_sponge_lattice(n, denominator)
+        for seed in (0, 1, 7, DEFAULT_SEED):
+            for cap in (64, 8, None):
+                got = sponge_points(n, denominator, cap, seed)
+                want = reference_sponge_sample(lattice, n, cap, seed)
+                assert len(got) == len(want)
+                for x, y in zip(got, want):
+                    assert_exactly(x, y)
 
 
 def test_denominator_below_distinct_numerator_sum_raises():

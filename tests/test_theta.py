@@ -10,6 +10,7 @@ from simplexboundary.comfort import check_comfort
 from simplexboundary.geometry import (
     BaryPoint,
     apply_perm,
+    boundary_samples,
     canonical_grid,
     center,
     cross_samples,
@@ -25,6 +26,7 @@ from simplexboundary.theta import (
     ThetaKey,
     UnsupportedL,
     WrongSlotValue,
+    _face_steps,
     face_delete,
     face_insert,
     theta,
@@ -225,6 +227,63 @@ def test_theta1_face_consistency_on_overlaps():
             zero_slots = [m for m, c in enumerate(y) if c == 0]
             values = {theta1_on_face(n, j, y) for j in zero_slots}
             assert len(values) == 1
+
+
+# Reference: the composite written for face 0 only, run on face j
+# conjugated by the transposition of slots 0 and j.  The per-face tables
+# must reproduce it exactly, forward and inverse.
+
+
+def reference_face0_steps(dim):
+    lift = theta(ThetaKey(1, dim - 1, 0))
+    lower = theta(ThetaKey(1, dim - 1, 1))
+    relift = theta(ThetaKey(1, dim, 0))
+
+    def inserting(key):
+        return (lambda x: face_insert(key, x)), (lambda y: face_delete(key, y))
+
+    def deleting(key):
+        insert, delete = inserting(key)
+        return delete, insert
+
+    return (
+        deleting(FaceMap(1, dim, 0, 0)),
+        (lift.inverse_at, lift),
+        (lower, lower.inverse_at),
+        inserting(FaceMap(1, dim, 1, 0)),
+        (relift, relift.inverse_at),
+        inserting(FaceMap(1, dim + 1, 0, 0)),
+        deleting(FaceMap(1, dim + 1, 1, 1)),
+    )
+
+
+def reference_on_face(maps, j, y):
+    swap = list(range(len(y)))
+    swap[0], swap[j] = j, 0
+    y = apply_perm(y, swap)
+    for step in maps:
+        y = step(y)
+    return apply_perm(y, swap)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_face_tables_match_conjugated_face0_composite(n):
+    steps = reference_face0_steps(n)
+    forward = [step for step, _ in steps]
+    backward = [inverse for _, inverse in reversed(steps)]
+    t = theta(ThetaKey(1, n, 1))
+    for y in boundary_samples(n, 4 * (n + 1), seed=11) + multi_zero_samples(n, 24, seed=11):
+        for j in (m for m, c in enumerate(y) if c == 0):
+            image = theta1_on_face(n, j, y)
+            assert_exactly(image, reference_on_face(forward, j, y))
+            back = reference_on_face(backward, j, y)
+            table_back = y
+            for _, inverse in reversed(_face_steps(n, j)):
+                table_back = inverse(table_back)
+            assert_exactly(table_back, back)
+            assert_exactly(t.inverse_at(y), back)
+            assert t.inverse_at(image) == y
+            assert t(back) == y
 
 
 def test_theta1_full_restricts_to_faces():
