@@ -36,7 +36,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from .geometry import (
     DEFAULT_SEED,
     BaryPoint,
-    _over_common_denominator,
     apply_perm,
     center,
     format_point,
@@ -125,7 +124,7 @@ def _lift(f: PLMap, n: int) -> PointMap:
     C, pieces = f.pieces
 
     def forward(x: BaryPoint) -> BaryPoint:
-        X, D = _over_common_denominator(x)
+        X, D = x.nums, x.den
         perm = sort_perm(X)
         out = [0] * k
         defect = 0
@@ -149,7 +148,7 @@ def _lift(f: PLMap, n: int) -> PointMap:
         for slot in big:
             out[slot] = X[slot] * cbg + defect * (k * X[slot] - D)
         E = cbg * D
-        return BaryPoint([Fraction(num, E) for num in out])
+        return BaryPoint(out, E)
 
     return forward
 
@@ -164,9 +163,9 @@ def lambda_lift(f: PLMap, n: int) -> SimplexHomeo:
     the forward one exactly; ``f`` fixes 1/(n+1), so both lifts agree on
     which coordinates are small.
 
-    Both directions run on integer numerators over the point's common
-    denominator, with ``f`` read off its piece table; each output
-    coordinate is reduced once.
+    Both directions run on the point's integer numerators over its
+    denominator, with ``f`` read off its piece table, and write the image
+    as numerators over one denominator.
     """
     cval = Fraction(1, n + 1)
     if f.domain != (Fraction(0), cval):
@@ -380,9 +379,10 @@ def check_comfort(
                 )
 
     for x, y in mapped:
+        X, Y = x.nums, y.nums  # each over one denominator: they order like the coordinates
         for a in range(n + 1):
             for b in range(n + 1):
-                if x[a] <= x[b] and not y[a] <= y[b]:
+                if X[a] <= X[b] and not Y[a] <= Y[b]:
                     report.violations.append(
                         ComfortViolation(
                             kind="order",

@@ -1,12 +1,15 @@
 """Exact barycentric geometry of the standard simplex.
 
-Every coordinate is stored as a reduced ``fractions.Fraction`` and every
-operation is pure and exact, so geometric identities can be asserted with
-``==`` instead of a tolerance.  Points are checked and built over one
-integer common denominator: a point's coordinates are put over the least
-common multiple D of their denominators, the simplex constraints become
-integer comparisons on the numerators, and each output coordinate is
-reduced once, as one ``Fraction(numerator, denominator)``.
+A point is stored as integer numerators over one common denominator D,
+kept canonical: D is the least common multiple of the reduced
+coordinate denominators, so ``gcd(D, *nums) == 1`` and two points are
+equal exactly when their numerator tuples are.  Every operation is pure
+and exact, so geometric identities can be asserted with ``==`` instead
+of a tolerance.  The simplex constraints are integer comparisons on the
+numerators, and the kernels (face maps, convex combinations, layer
+projection, the lift and the per-ray polygons) read and write numerators
+directly.  Indexing or iterating a point yields its coordinates as
+reduced ``fractions.Fraction`` values, built on first use.
 
 The module provides the standard simplex primitives (center, minimum
 coordinate, radial layer projection, region membership, convex
@@ -16,9 +19,11 @@ verification checks.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
+from collections import abc
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -56,39 +61,82 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text.strip()!r}") from exc
 
 
-def _over_common_denominator(coords: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """The integer numerators of ``coords`` over their least common
-    denominator D, and D."""
-    dens = [c.denominator for c in coords]
-    den = math.lcm(*dens)
-    return [c.numerator * (den // q) for c, q in zip(coords, dens)], den
-
-
-class BaryPoint(tuple):
-    """A point of the standard simplex as an exact barycentric tuple.
+class BaryPoint(abc.Sequence):
+    """A point of the standard simplex, stored exactly as integer
+    numerators ``nums`` over one denominator ``den``.
 
     Construction is the only way to make one, and it validates the
-    defining constraints on every point: over the common denominator D of
-    the coordinates, every numerator is nonnegative and the numerators sum
-    to exactly D.  Coordinates that are already ``Fraction`` are kept;
-    anything else goes through ``Fraction(c)``.  Instances are immutable
-    and hashable tuples of reduced ``Fraction``.
+    defining constraints on every point: every numerator is nonnegative
+    and the numerators sum to exactly ``den``.  ``BaryPoint(coords)``
+    takes coordinates (a ``Fraction`` is kept, anything else goes through
+    ``Fraction(c)``) and puts them over the least common multiple of their
+    denominators; ``BaryPoint(nums, den)`` takes integer numerators and
+    divides out ``gcd(den, *nums)``.  Either way ``gcd(den, *nums) == 1``,
+    so equal points have equal numerator tuples, which are what equality
+    and the hash compare (the numerators sum to ``den``, so they fix it).
+    As a sequence a point yields its coordinates as reduced ``Fraction``
+    values, built once, on first use.  Instances are immutable by
+    convention and hashable.
     """
 
-    def __new__(cls, coords: Iterable) -> "BaryPoint":
-        vals = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
-        if not vals:
-            raise ValueError("a barycentric point needs at least one coordinate")
-        nums, den = _over_common_denominator(vals)
+    __slots__ = ("nums", "den", "_coords")
+
+    def __new__(cls, coords: Iterable, den: Optional[int] = None) -> "BaryPoint":
+        if den is None:
+            vals = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+            if not vals:
+                raise ValueError("a barycentric point needs at least one coordinate")
+            dens = [c.denominator for c in vals]
+            den = math.lcm(*dens)
+            nums = tuple(c.numerator * (den // q) for c, q in zip(vals, dens))
+        else:
+            nums, vals = tuple(coords), None
+            if not nums:
+                raise ValueError("a barycentric point needs at least one coordinate")
+            if den <= 0:
+                raise ValueError(f"barycentric denominator must be positive, got {den}")
         if min(nums) < 0:
+            vals = vals or tuple(Fraction(p, den) for p in nums)
             raise ValueError(f"negative barycentric coordinate in {vals!r}")
         if sum(nums) != den:
+            vals = vals or tuple(Fraction(p, den) for p in nums)
             raise ValueError(f"barycentric coordinates must sum to 1, got {vals!r}")
-        return super().__new__(cls, vals)
+        if vals is None:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums, den = tuple([p // g for p in nums]), den // g
+        self = object.__new__(cls)
+        self.nums, self.den, self._coords = nums, den, vals
+        return self
+
+    @property
+    def coords(self) -> Tuple[Fraction, ...]:
+        """The coordinates as reduced ``Fraction`` values."""
+        if self._coords is None:
+            den = self.den
+            self._coords = tuple([Fraction(p, den) for p in self.nums])
+        return self._coords
+
+    def __getitem__(self, m):
+        return self.coords[m]
+
+    def __iter__(self):
+        return iter(self.coords)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, BaryPoint):
+            return self.nums == other.nums
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.nums)
 
     @property
     def dim(self) -> int:
-        return len(self) - 1
+        return len(self.nums) - 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BaryPoint({format_point(self)})"
@@ -113,27 +161,26 @@ def center(n: int) -> BaryPoint:
     """Barycenter of the n-dimensional standard simplex."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    c = Fraction(1, n + 1)
-    return BaryPoint((c,) * (n + 1))
+    return BaryPoint((1,) * (n + 1), n + 1)
 
 
 def vertex(n: int, j: int) -> BaryPoint:
     """The j-th vertex, i.e. the j-th standard unit vector."""
     if not 0 <= j <= n:
         raise ValueError(f"vertex index {j} out of range for dimension {n}")
-    return BaryPoint(tuple(1 if m == j else 0 for m in range(n + 1)))
+    return BaryPoint([1 if m == j else 0 for m in range(n + 1)], 1)
 
 
-def min_value(x: Sequence[Fraction]) -> Fraction:
+def min_value(x: BaryPoint) -> Fraction:
     """Smallest coordinate of ``x`` (lies in [0, 1/(n+1)])."""
-    return min(x)
+    return Fraction(min(x.nums), x.den)
 
 
 def sort_perm(x: Sequence) -> Tuple[int, ...]:
     """Permutation placing the coordinates in ascending order.
 
-    ``x`` may be the coordinates or their integer numerators over one
-    common denominator, which sort the same way.
+    ``x`` may be a point, its coordinates, or its integer numerators
+    ``x.nums``, which sort the same way and compare faster.
 
     Ties are broken by the original index (stable), which keeps runs
     reproducible; downstream maps are permutation-respecting, so results
@@ -142,11 +189,12 @@ def sort_perm(x: Sequence) -> Tuple[int, ...]:
     return tuple(sorted(range(len(x)), key=lambda m: (x[m], m)))
 
 
-def apply_perm(x: Sequence[Fraction], perm: Sequence[int]) -> BaryPoint:
+def apply_perm(x: BaryPoint, perm: Sequence[int]) -> BaryPoint:
     """The permuted point x∘θ with coordinates ``(x[θ(0)], ..., x[θ(n)])``."""
-    if len(perm) != len(x) or sorted(perm) != list(range(len(x))):
-        raise ValueError(f"{perm!r} is not a permutation of 0..{len(x) - 1}")
-    return BaryPoint(tuple(x[p] for p in perm))
+    nums = x.nums
+    if len(perm) != len(nums) or sorted(perm) != list(range(len(nums))):
+        raise ValueError(f"{perm!r} is not a permutation of 0..{len(nums) - 1}")
+    return BaryPoint([nums[p] for p in perm], x.den)
 
 
 def segment_eval(a: BaryPoint, b: BaryPoint, t: Fraction) -> BaryPoint:
@@ -156,14 +204,12 @@ def segment_eval(a: BaryPoint, b: BaryPoint, t: Fraction) -> BaryPoint:
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError(f"segment parameter {t} outside [0,1]")
-    # Over D = lcm of all denominators and t = p/q, coordinate m is
-    # (p*A_m + (q-p)*B_m) / (q*D).
-    nums, den = _over_common_denominator(a + b)
+    # With a = A/Da, b = B/Db, D = lcm(Da, Db) and t = p/q, coordinate m
+    # is (p*A_m*(D/Da) + (q-p)*B_m*(D/Db)) / (q*D).
     p, q = t.numerator, t.denominator
-    k = len(a)
-    return BaryPoint(
-        tuple(Fraction(p * am + (q - p) * bm, q * den) for am, bm in zip(nums[:k], nums[k:]))
-    )
+    den = math.lcm(a.den, b.den)
+    ua, ub = p * (den // a.den), (q - p) * (den // b.den)
+    return BaryPoint([ua * am + ub * bm for am, bm in zip(a.nums, b.nums)], q * den)
 
 
 def project_layer(x: BaryPoint, alpha: Fraction) -> BaryPoint:
@@ -184,14 +230,14 @@ def project_layer(x: BaryPoint, alpha: Fraction) -> BaryPoint:
         return center(n)
     # Over D, x_m = X_m/D with minimum M/D; with alpha = a/d the image
     # coordinate is (a*(D - (n+1)*M) + (d - (n+1)*a)*(X_m - M)) / (d*(D - (n+1)*M)).
-    nums, den = _over_common_denominator(x)
+    nums = x.nums
     low = min(nums)
-    rest = den - (n + 1) * low
+    rest = x.den - (n + 1) * low
     if rest == 0:
         raise CenterProjection(f"projection to layer {alpha} undefined at the center")
     a, d = alpha.numerator, alpha.denominator
     base, scale = a * rest, d - (n + 1) * a
-    return BaryPoint(tuple(Fraction(base + scale * (xm - low), d * rest) for xm in nums))
+    return BaryPoint([base + scale * (xm - low) for xm in nums], d * rest)
 
 
 def project_boundary(x: BaryPoint) -> BaryPoint:
@@ -208,12 +254,13 @@ def on_cross(x: BaryPoint, alpha) -> bool:
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise ValueError(f"cross level {alpha} outside [0,1]")
-    return any(xi == alpha for xi in x)
+    level = alpha.numerator * x.den
+    return any(xm * alpha.denominator == level for xm in x.nums)
 
 
 def on_boundary(x: BaryPoint) -> bool:
     """Whether ``x`` has a zero coordinate."""
-    return any(xi == 0 for xi in x)
+    return 0 in x.nums
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +284,49 @@ def _composition(rng: random.Random, total: int, parts: int) -> List[int]:
     return out
 
 
+class _DistinctLattice(abc.Sequence):
+    """The tuples of k in {2, 3} pairwise distinct nonnegative integers
+    summing to D, in the order of ``itertools.product`` over all but the
+    last entry, indexed without enumerating them.
+
+    A row fixes the head (the first k-2 entries, distinct, with remainder
+    R = D - sum(head)); its entries are the c in 0..R with R-c as the last
+    entry, less the c that repeat a head entry (c = h or R - c = h) or
+    each other (2c = R).  Each row's count takes O(1), and a prefix sum
+    over the rows locates the row of an index.
+    """
+
+    def __init__(self, denominator: int, k: int):
+        heads = [()] if k == 2 else [(h,) for h in range(denominator + 1)]
+        self._rows = []  # (head, R, skipped c ascending)
+        self._starts = []
+        total = 0
+        for head in heads:
+            rest = denominator - sum(head)
+            skip = set(head) | {rest - h for h in head}
+            if rest % 2 == 0:
+                skip.add(rest // 2)
+            skip = sorted(c for c in skip if 0 <= c <= rest)
+            self._rows.append((head, rest, skip))
+            self._starts.append(total)
+            total += rest + 1 - len(skip)
+        self._len = total
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int) -> Tuple[int, ...]:
+        if not 0 <= index < self._len:
+            raise IndexError("lattice index out of range")
+        row = bisect.bisect_right(self._starts, index) - 1
+        head, rest, skip = self._rows[row]
+        c = index - self._starts[row]
+        for s in skip:  # the c-th kept value, counting from 0
+            if s <= c:
+                c += 1
+        return head + (c, rest - c)
+
+
 def sponge_points(
     n: int,
     denominator: int = DEFAULT_DENOMINATOR,
@@ -245,10 +335,10 @@ def sponge_points(
 ) -> List[BaryPoint]:
     """Points of the denominator-D lattice with pairwise distinct coordinates.
 
-    For dimensions whose lattice is small the full set is enumerated and,
-    when larger than ``cap``, subsampled deterministically.  For higher
-    dimensions the set is sampled directly by seeded rejection, since the
-    lattice grows combinatorially.
+    For dimensions 1 and 2 the set is indexed in product order and, when
+    larger than ``cap``, subsampled deterministically; only the sampled
+    tuples are built.  For higher dimensions the set is sampled directly
+    by seeded rejection, since the lattice grows combinatorially.
     """
     if n == 0:
         return [BaryPoint((1,))]
@@ -256,19 +346,14 @@ def sponge_points(
         raise ValueError("denominator too small to host distinct coordinates")
     rng = _child_rng(seed, 1, n)
     k = n + 1
-    lattice: List[Tuple[int, ...]] = []
+    lattice: Sequence[Tuple[int, ...]]
     if k <= 3:
-        # Sample the numerator tuples; only the kept ones become points.
-        for combo in itertools.product(range(denominator + 1), repeat=k - 1):
-            last = denominator - sum(combo)
-            if last < 0:
-                continue
-            parts = combo + (last,)
-            if len(set(parts)) == k:
-                lattice.append(parts)
+        # Sample the indexed numerator tuples; only the kept ones become points.
+        lattice = _DistinctLattice(denominator, k)
         if cap is not None and len(lattice) > cap:
             lattice = rng.sample(lattice, cap)
     else:
+        lattice = []
         want = cap if cap is not None else 64
         seen = set()
         attempts = 0
@@ -279,7 +364,7 @@ def sponge_points(
                 continue
             seen.add(parts)
             lattice.append(parts)
-    return [BaryPoint(Fraction(p, denominator) for p in parts) for parts in lattice]
+    return [BaryPoint(parts, denominator) for parts in lattice]
 
 
 def random_rational_points(
@@ -295,8 +380,7 @@ def random_rational_points(
     points = []
     for _ in range(count):
         d = rng.randint(n + 2, max_denominator)
-        parts = _composition(rng, d, n + 1)
-        points.append(BaryPoint(Fraction(p, d) for p in parts))
+        points.append(BaryPoint(_composition(rng, d, n + 1), d))
     return points
 
 
@@ -325,9 +409,8 @@ def boundary_samples(n: int, count: int, seed: int = DEFAULT_SEED) -> List[BaryP
         slot = m % (n + 1)
         d = rng.randint(n + 1, 3_000)
         parts = _composition(rng, d, n)
-        coords = [Fraction(p, d) for p in parts]
-        coords.insert(slot, Fraction(0))
-        points.append(BaryPoint(coords))
+        parts.insert(slot, 0)
+        points.append(BaryPoint(parts, d))
     return points
 
 
@@ -362,10 +445,9 @@ def multi_zero_samples(n: int, count: int, seed: int = DEFAULT_SEED) -> List[Bar
         z1, z2 = slot_pairs[m % len(slot_pairs)]
         d = rng.randint(n + 1, 3_000)
         parts = _composition(rng, d, n - 1)
-        coords = [Fraction(p, d) for p in parts]
-        coords.insert(z1, Fraction(0))
-        coords.insert(z2, Fraction(0))
-        points.append(BaryPoint(coords))
+        parts.insert(z1, 0)
+        parts.insert(z2, 0)
+        points.append(BaryPoint(parts, d))
     return points
 
 

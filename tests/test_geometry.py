@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,7 +12,6 @@ from simplexboundary.geometry import (
     CenterProjection,
     DEFAULT_SEED,
     DimensionMismatch,
-    _over_common_denominator,
     apply_perm,
     boundary_samples,
     canonical_grid,
@@ -45,8 +45,9 @@ def test_barypoint_validation():
 
 
 # ---------------------------------------------------------------------------
-# Reference formulas: the plain ``Fraction`` arithmetic the integer
-# common-denominator code must reproduce exactly.
+# Reference formulas: the plain ``Fraction`` arithmetic, with the checks and
+# messages of the code that stored points as ``Fraction`` tuples, which the
+# integer code must reproduce exactly.
 
 
 def reference_accepts(coords):
@@ -54,24 +55,78 @@ def reference_accepts(coords):
     return bool(vals) and all(c >= 0 for c in vals) and sum(vals) == 1
 
 
+def reference_point(coords):
+    """The point check on ``Fraction`` coordinates: the coordinates, or
+    the error, with its message."""
+    vals = tuple(F(c) for c in coords)
+    if not vals:
+        raise ValueError("a barycentric point needs at least one coordinate")
+    if min(vals) < 0:
+        raise ValueError(f"negative barycentric coordinate in {vals!r}")
+    if sum(vals) != 1:
+        raise ValueError(f"barycentric coordinates must sum to 1, got {vals!r}")
+    return vals
+
+
 def reference_segment_eval(a, b, t):
+    if len(a) != len(b):
+        raise DimensionMismatch(f"segment endpoints have dims {len(a)-1} and {len(b)-1}")
     t = F(t)
+    if not 0 <= t <= 1:
+        raise ValueError(f"segment parameter {t} outside [0,1]")
     return tuple(t * ai + (1 - t) * bi for ai, bi in zip(a, b))
 
 
 def reference_project_layer(x, alpha):
     n = len(x) - 1
     alpha = F(alpha)
+    if not 0 <= alpha <= F(1, n + 1):
+        raise ValueError(f"layer level {alpha} outside [0, 1/{n + 1}]")
     if alpha == F(1, n + 1):
         return (alpha,) * (n + 1)
     xmin = min(x)
+    if xmin == F(1, n + 1):
+        raise CenterProjection(f"projection to layer {alpha} undefined at the center")
     scale = (1 - (n + 1) * alpha) / (1 - (n + 1) * xmin)
     return tuple(alpha + scale * (xi - xmin) for xi in x)
+
+
+def reference_apply_perm(x, perm):
+    if len(perm) != len(x) or sorted(perm) != list(range(len(x))):
+        raise ValueError(f"{perm!r} is not a permutation of 0..{len(x) - 1}")
+    return tuple(x[p] for p in perm)
 
 
 def assert_exactly(point, expected):
     assert all(type(c) is F for c in point)
     assert tuple(point) == tuple(expected)
+
+
+def assert_same_outcome(fn, reference, *args):
+    """``fn(*args)`` equals ``reference(*args)`` exactly, or both raise the
+    same exception type with the same message."""
+    try:
+        want = reference(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            fn(*args)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+    else:
+        got = fn(*args)
+        assert_exactly(got, want)
+        if isinstance(got, BaryPoint):
+            assert_canonical(got)
+
+
+def assert_canonical(x):
+    """``x`` stores its reduced coordinates over their least common
+    denominator, so ``gcd(den, *nums) == 1``."""
+    coords = tuple(x)
+    assert x.den == math.lcm(*(c.denominator for c in coords))
+    assert math.gcd(x.den, *x.nums) == 1
+    assert all(type(p) is int for p in x.nums)
+    assert tuple(F(p, x.den) for p in x.nums) == coords
+    assert len(x) == len(x.nums) == x.dim + 1
 
 
 #: Pairwise coprime denominators, from small to past 64 bits.
@@ -141,9 +196,86 @@ def test_barypoint_accepts_what_the_fraction_check_accepts(coords):
         assert_exactly(point, (F(c) for c in coords))
 
 
+@settings(max_examples=400)
+@given(candidate_coords(), st.sampled_from((1, 2, 6, 10_007)))
+def test_both_constructor_paths_check_alike(coords, scale):
+    """Over any common denominator, and with any common factor left in,
+    ``BaryPoint(nums, den)`` gives the point ``BaryPoint(coords)`` gives,
+    or the same error with the same message."""
+    vals = [F(c) for c in coords]
+    den = scale * math.lcm(*(c.denominator for c in vals))
+    nums = [int(c * den) for c in vals]
+    assert_same_outcome(BaryPoint, reference_point, coords)
+    assert_same_outcome(lambda: BaryPoint(nums, den), lambda: reference_point(vals))
+    if reference_accepts(coords):
+        x, y = BaryPoint(coords), BaryPoint(nums, den)
+        assert x == y and hash(x) == hash(y)
+        assert (x.nums, x.den) == (y.nums, y.den)
+
+
+@st.composite
+def point_pairs(draw):
+    """Two points of one dimension, on a small lattice or with coprime
+    denominators, so that equal, permuted and unrelated pairs all come up;
+    each is built on either constructor path, the integer path with a
+    common factor left in."""
+    n = draw(st.integers(0, 5))
+    kinds = lattice_points(n) | coprime_points(n)
+    x = draw(kinds)
+    y = draw(st.sampled_from([x, apply_perm(x, tuple(reversed(range(n + 1))))]) | kinds)
+
+    def rebuilt(p):
+        if draw(st.booleans()):
+            return BaryPoint(list(p))
+        g = draw(st.integers(1, 12))
+        return BaryPoint([g * q for q in p.nums], g * p.den)
+
+    return rebuilt(x), rebuilt(y)
+
+
+@settings(max_examples=400)
+@given(point_pairs())
+def test_point_equality_is_equality_of_reduced_coordinates(pair):
+    x, y = pair
+    assert_canonical(x)
+    assert_canonical(y)
+    assert (x == y) == (tuple(x) == tuple(y)) == (x.nums == y.nums)
+    assert (x != y) == (tuple(x) != tuple(y))
+    if x == y:
+        assert hash(x) == hash(y)
+    assert len({x, y}) == len({tuple(x), tuple(y)})
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_point_predicates_match_coordinates(data):
+    n = data.draw(st.integers(0, 6))
+    x = data.draw(lattice_points(n) | coprime_points(n))
+    coords = tuple(x)
+    alpha = data.draw(st.sampled_from(coords) | large_rationals(1))
+    assert min_value(x) == min(coords) and type(min_value(x)) is F
+    assert on_boundary(x) == any(c == 0 for c in coords)
+    assert on_cross(x, alpha) == any(c == alpha for c in coords)
+
+
+def test_barypoint_coordinates_are_built_once():
+    x = BaryPoint([2, 4, 6], 12)
+    assert (x.nums, x.den) == ((1, 2, 3), 6)
+    assert x[0] is x[0] and tuple(x) == (F(1, 6), F(1, 3), F(1, 2))
+    assert list(x) == list(x.coords) and x.coords is x.coords
+    assert x.index(F(1, 3)) == 1 and F(1, 2) in x and x[-1] == F(1, 2)
+    assert x != tuple(x)  # a point equals points only
+
+
 def test_barypoint_rejections():
     with pytest.raises(ValueError, match="at least one coordinate"):
         BaryPoint([])
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        BaryPoint([], 1)
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        BaryPoint([0, 0], 0)
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        BaryPoint([-1, 0], -1)
     with pytest.raises(ValueError, match="negative"):
         BaryPoint(["-1/10007", 1, F(1, 10_007)])  # sums to 1
     q, r = 10_007, 10_009
@@ -155,22 +287,47 @@ def test_barypoint_rejections():
             BaryPoint(near[:2] + [near[2] + off])
 
 
-@settings(max_examples=200)
+@st.composite
+def just_outside(draw, top):
+    """A rational just below 0 or just above ``top``."""
+    q = draw(st.sampled_from(PRIMES))
+    return draw(st.sampled_from((-F(1, q), top + F(1, q))))
+
+
+@settings(max_examples=300)
 @given(st.data())
 def test_segment_eval_matches_fraction_formula(data):
     n = data.draw(st.integers(1, 6))
-    a, b = data.draw(coprime_points(n)), data.draw(coprime_points(n))
-    t = data.draw(large_rationals(1))
-    assert_exactly(segment_eval(a, b, t), reference_segment_eval(a, b, t))
+    a = data.draw(coprime_points(n) | lattice_points(n))
+    m = data.draw(st.sampled_from((n, n, n, n + 1)))  # sometimes a dimension mismatch
+    b = data.draw(coprime_points(m) | lattice_points(m))
+    t = data.draw(large_rationals(1) | just_outside(1))
+    assert_same_outcome(segment_eval, reference_segment_eval, a, b, t)
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(st.data())
 def test_project_layer_matches_fraction_formula(data):
     n = data.draw(st.integers(1, 6))
-    x = data.draw(coprime_points(n))
-    alpha = data.draw(large_rationals(F(1, n + 1)))
-    assert_exactly(project_layer(x, alpha), reference_project_layer(x, alpha))
+    x = data.draw(coprime_points(n) | lattice_points(n) | st.just(center(n)))
+    alpha = data.draw(large_rationals(F(1, n + 1)) | just_outside(F(1, n + 1)))
+    assert_same_outcome(project_layer, reference_project_layer, x, alpha)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_apply_perm_matches_fraction_formula(data):
+    n = data.draw(st.integers(0, 6))
+    x = data.draw(coprime_points(n) | lattice_points(n))
+    perm = list(data.draw(st.permutations(range(n + 1))))
+    broken = data.draw(st.sampled_from(("none", "none", "repeat", "short", "long")))
+    if broken == "repeat" and n:
+        perm[0] = perm[1]
+    elif broken == "short":
+        perm.pop()
+    elif broken == "long":
+        perm.append(n + 1)
+    assert_same_outcome(apply_perm, reference_apply_perm, x, tuple(perm))
 
 
 def test_center_examples():
@@ -198,7 +355,7 @@ def test_sort_perm_stable_on_ties():
 def test_sort_perm_of_numerators_matches_coordinates(data):
     n = data.draw(st.integers(1, 6))
     x = data.draw(lattice_points(n) | coprime_points(n))
-    assert sort_perm(_over_common_denominator(x)[0]) == sort_perm(x)
+    assert sort_perm(x.nums) == sort_perm(x)
 
 
 def test_project_layer_examples():
@@ -303,6 +460,19 @@ def reference_sponge_sample(points, n, cap, seed):
     return points
 
 
+def reference_lattice_heads(n, denominator):
+    """The first coordinate of each row of the enumerate-then-sample
+    lattice, as a tuple; n = 1 has a single row with an empty head."""
+    return [()] if n == 1 else [(a,) for a in range(denominator + 1)]
+
+
+def reference_lattice_row(head, n, denominator):
+    """The numerator tuples of one row that the enumerate-then-sample grid
+    kept, in its order."""
+    rest = denominator - sum(head)
+    return [head + (c, rest - c) for c in range(rest + 1) if len({*head, c, rest - c}) == n + 1]
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_sponge_points_match_enumerate_then_sample(n):
     for denominator in (3, 6, 7, 10, 60, 61, 120):
@@ -316,6 +486,25 @@ def test_sponge_points_match_enumerate_then_sample(n):
                 assert len(got) == len(want)
                 for x, y in zip(got, want):
                     assert_exactly(x, y)
+    # At D = 3000 the lattice has millions of points, too many to list:
+    # count it row by row, draw the indices as sampling a list of that
+    # length would, and rebuild only the rows holding them.
+    denominator = 3000
+    heads = reference_lattice_heads(n, denominator)
+    counts = [len(reference_lattice_row(head, n, denominator)) for head in heads]
+    starts = list(itertools.accumulate(counts, initial=0))
+    for seed in (0, DEFAULT_SEED):
+        for cap in (64, 8):
+            rng = random.Random(seed * 1_000_003 + 9_973 + n)
+            want = []
+            for index in rng.sample(range(starts[-1]), cap):
+                row = next(r for r in range(len(heads)) if starts[r + 1] > index)
+                parts = reference_lattice_row(heads[row], n, denominator)[index - starts[row]]
+                want.append(BaryPoint(F(p, denominator) for p in parts))
+            got = sponge_points(n, denominator, cap, seed)
+            assert len(got) == cap
+            for x, y in zip(got, want):
+                assert_exactly(x, y)
 
 
 def test_denominator_below_distinct_numerator_sum_raises():

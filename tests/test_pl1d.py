@@ -184,7 +184,10 @@ def test_tau_polygon_matches_reference(data):
     else:  # an unrelated boundary point: mostly the error paths
         c = data.draw(boundary_points(n, beta))
     expected = outcome(reference_tau_polygon, b, c, alpha, beta)
-    assert outcome(tau_polygon, b, c, alpha, beta) == expected
+    got = outcome(tau_polygon, b, c, alpha, beta)
+    assert got == expected
+    if isinstance(got, PLMap):
+        assert got.pieces == PLMap(got.points).pieces
 
 
 @settings(max_examples=300)
@@ -197,7 +200,10 @@ def test_polygon_matches_reference(data):
     points += points[: len(points) // 2]  # exact duplicates
     points = data.draw(st.permutations(points))
     domain = data.draw(st.sampled_from((None, (0, 1))))
-    assert outcome(polygon, points, domain) == outcome(reference_polygon, points, domain)
+    got = outcome(polygon, points, domain)
+    assert got == outcome(reference_polygon, points, domain)
+    if isinstance(got, PLMap):  # built with its breakpoints: the table the breakpoints give
+        assert got.pieces == PLMap(got.points).pieces
 
 
 def test_polygon_duplicates_collapse_and_errors_keep_their_messages():

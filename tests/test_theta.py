@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from simplexboundary.comfort import check_comfort
 from simplexboundary.geometry import (
     BaryPoint,
+    format_rational,
     apply_perm,
     boundary_samples,
     canonical_grid,
@@ -34,7 +35,7 @@ from simplexboundary.theta import (
 )
 
 from test_comfort import points
-from test_geometry import assert_exactly, coprime_points
+from test_geometry import assert_exactly, assert_same_outcome, coprime_points, lattice_points
 
 
 def small_grid(n, k=10):
@@ -90,6 +91,8 @@ def test_face_delete_inverts_face_insert_property(data):
 
 
 def reference_face_insert(key, x):
+    if len(x) != key.n:
+        raise ValueError(f"face map expects dimension {key.n - 1}, got {len(x) - 1}")
     v = key.v
     coords = [(1 - v) * c for c in x]
     coords.insert(key.j, v)
@@ -97,6 +100,12 @@ def reference_face_insert(key, x):
 
 
 def reference_face_delete(key, y):
+    if len(y) != key.n + 1:
+        raise ValueError(f"face deletion expects dimension {key.n}, got {len(y) - 1}")
+    if y[key.j] != key.v:
+        raise WrongSlotValue(
+            f"slot {key.j} holds {format_rational(y[key.j])}, expected {format_rational(key.v)}"
+        )
     scale = 1 / (1 - key.v)
     return [scale * c for m, c in enumerate(y) if m != key.j]
 
@@ -111,6 +120,31 @@ def test_face_maps_match_fraction_formulas(data):
     y = face_insert(key, x)
     assert_exactly(y, reference_face_insert(key, x))
     assert_exactly(face_delete(key, y), reference_face_delete(key, y))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_face_maps_match_fraction_formulas_errors_included(data):
+    """On any point, of the right dimension or one off, with slot j holding
+    v, a value just beside it, or anything: the face maps return what the
+    ``Fraction`` formulas return, or raise the same error."""
+    L = data.draw(st.integers(0, 3))
+    n = data.draw(st.integers(1, 6))
+    key = FaceMap(L, n, data.draw(st.integers(0, L)), data.draw(st.integers(0, n)))
+    m = data.draw(st.sampled_from((n - 1, n - 1, n, n + 1)))
+    x = data.draw(coprime_points(m) | lattice_points(m))
+    assert_same_outcome(face_insert, reference_face_insert, key, x)
+    m = data.draw(st.sampled_from((n, n, n, n - 1, n + 1)))
+    y = data.draw(coprime_points(m) | lattice_points(m))
+    if m == n and data.draw(st.booleans()):
+        # Slot j holds v, or v plus or minus 1/q (v >= 1/28 when i > 0);
+        # the other slots share 1 minus it.
+        q = data.draw(st.sampled_from((29, 10_007)))
+        c = key.v + data.draw(st.sampled_from((0, 0, F(1, q)) + ((-F(1, q),) if key.i else ())))
+        coords = [(1 - c) * zk for zk in data.draw(coprime_points(n - 1) | lattice_points(n - 1))]
+        coords.insert(key.j, c)
+        y = BaryPoint(coords)
+    assert_same_outcome(face_delete, reference_face_delete, key, y)
 
 
 def test_face_insert_respects_permutations():
