@@ -1,18 +1,19 @@
 """Permutation-respecting, order-keeping homeomorphisms of the simplex.
 
 The central objects are ``SimplexHomeo`` (an evaluable self-map of the
-standard simplex with its exact inverse and a label) and three
-constructors:
+standard simplex with its exact inverse and a label) and two
+constructions:
 
 * ``lambda_lift`` turns an increasing homeomorphism of [0, 1/(n+1)]
   fixing the endpoints into a homeomorphism of the whole simplex by
   applying it to the small coordinates and redistributing the defect
   over the large ones;
-* ``extend_from_layer`` extends a homeomorphism between two layers to
-  the whole simplex along the rays through the center;
-* ``extend_from_boundary`` extends a boundary homeomorphism inward,
-  reparametrizing each ray by a per-ray polygon so that a chosen cross
-  is carried onto another cross.
+* the ray extension carries each ray from the center onto the ray
+  through the image of its boundary point, reparametrized by a polygon
+  of [0, 1].  ``extend_from_layer`` extends a homeomorphism between two
+  layers with one polygon, matching the two levels, on every ray;
+  ``extend_from_boundary`` extends a boundary homeomorphism inward with
+  a per-ray polygon that carries a chosen cross onto another cross.
 
 Each construction writes its per-point map once, in a private builder.
 The inverse is the same builder applied to the inverse data: the lift
@@ -176,20 +177,27 @@ def lambda_lift(f: PLMap, n: int) -> SimplexHomeo:
 
 
 # ---------------------------------------------------------------------------
-# Extension of a layer homeomorphism
+# Extensions along the rays through the center
 
 
-def _layer_extension(phi: PointMap, alpha: Fraction, beta: Fraction, n: int) -> PointMap:
+def _ray_extension(foot: PointMap, ray: Callable[[BaryPoint, BaryPoint], PLMap], n: int) -> PointMap:
+    # x has minimum a and lies at parameter t = a*(n+1) on the segment from
+    # the boundary point b = project_boundary(x) to the center; the image
+    # lies at parameter ray(b, c)(t), a polygon of [0, 1], on the segment
+    # from c = foot(b).  On the boundary b = x and t = 0, which every ray
+    # polygon fixes.
     cval = Fraction(1, n + 1)
     ctr = center(n)
-    sig = sigma_polygon(alpha, beta, cval)
 
     def forward(x: BaryPoint) -> BaryPoint:
         a = min_value(x)
+        if a == 0:
+            return foot(x)
         if a == cval:
             return ctr
-        ray_foot = project_boundary(phi(project_layer(x, alpha)))
-        return segment_eval(ctr, ray_foot, pl_eval(sig, a) * (n + 1))
+        b = project_boundary(x)
+        c = foot(b)
+        return segment_eval(ctr, c, pl_eval(ray(b, c), a * (n + 1)))
 
     return forward
 
@@ -200,50 +208,26 @@ def extend_from_layer(phi: PointMap, alpha, beta, n: int, phi_inverse: PointMap)
     Allowed level pairs: 0 < α, β <= 1/(n+1), or α = β = 0.  Each ray
     from the center is mapped onto the ray through the image of its
     layer point; the position on the ray is reparametrized by the
-    three-point polygon matching α to β.  The inverse is the extension
-    of ``phi_inverse`` from β to α.  For α = β = 0 this is the boundary
-    extension with both levels 0, which keeps every ray parameter.
+    three-point polygon matching α to β, the same on every ray.  The
+    inverse is the extension of ``phi_inverse`` from β to α.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     cval = Fraction(1, n + 1)
-    if alpha == beta == 0:
-        return extend_from_boundary(phi, 0, 0, n, phi_inverse)
-    if not (0 < alpha <= cval and 0 < beta <= cval):
+    if not (alpha == beta == 0 or 0 < alpha <= cval and 0 < beta <= cval):
         raise BadLevels(f"unsupported layer levels ({alpha}, {beta})")
     if (alpha == cval) != (beta == cval):
         raise BadLevels(f"a layer homeomorphism cannot pair {alpha} with {beta}")
     if alpha == cval:
         return identity_homeo(n)
-    forward = _layer_extension(phi, alpha, beta, n)
-    inverse = _layer_extension(phi_inverse, beta, alpha, n)
+
+    def extension(f: PointMap, lo: Fraction, hi: Fraction) -> PointMap:
+        # A ray's layer point is the layer point of its boundary point, and
+        # the ray parameter of a point at level a is a*(n+1).
+        sig = sigma_polygon(lo * (n + 1), hi * (n + 1), 1)
+        return _ray_extension(lambda b: project_boundary(f(project_layer(b, lo))), lambda b, c: sig, n)
+
+    forward, inverse = extension(phi, alpha, beta), extension(phi_inverse, beta, alpha)
     return SimplexHomeo(n, forward, inverse, label="layer-extension")
-
-
-# ---------------------------------------------------------------------------
-# Extension of a boundary homeomorphism
-
-
-def _boundary_extension(phi: PointMap, alpha: Fraction, beta: Fraction, n: int) -> PointMap:
-    cval = Fraction(1, n + 1)
-    ctr = center(n)
-
-    def forward(x: BaryPoint) -> BaryPoint:
-        a = min_value(x)
-        if a == 0:
-            return phi(x)
-        if a == cval:
-            return ctr
-        b = project_boundary(x)
-        c = phi(b)
-        try:
-            ray_map = tau_polygon(b, c, alpha, beta)
-        except CrossMismatch as exc:
-            raise CrossPropertyViolation(
-                f"boundary image of {format_point(b)} leaves the target cross: {exc}"
-            ) from exc
-        return segment_eval(ctr, c, pl_eval(ray_map, a * (n + 1)))
-
-    return forward
 
 
 def extend_from_boundary(phi: PointMap, alpha, beta, n: int, phi_inverse: PointMap) -> SimplexHomeo:
@@ -265,8 +249,19 @@ def extend_from_boundary(phi: PointMap, alpha, beta, n: int, phi_inverse: PointM
     cval = Fraction(1, n + 1)
     if not (0 <= alpha < cval and 0 <= beta < cval):
         raise BadLevels(f"cross levels ({alpha}, {beta}) must lie in [0, 1/{n + 1})")
-    forward = _boundary_extension(phi, alpha, beta, n)
-    inverse = _boundary_extension(phi_inverse, beta, alpha, n)
+
+    def extension(f: PointMap, lo: Fraction, hi: Fraction) -> PointMap:
+        def ray(b: BaryPoint, c: BaryPoint) -> PLMap:
+            try:
+                return tau_polygon(b, c, lo, hi)
+            except CrossMismatch as exc:
+                raise CrossPropertyViolation(
+                    f"boundary image of {format_point(b)} leaves the target cross: {exc}"
+                ) from exc
+
+        return _ray_extension(f, ray, n)
+
+    forward, inverse = extension(phi, alpha, beta), extension(phi_inverse, beta, alpha)
     return SimplexHomeo(n, forward, inverse, label="boundary-extension")
 
 
@@ -414,34 +409,23 @@ def counterexample_map() -> SimplexHomeo:
     """A homeomorphism of the 2-simplex fixing every layer setwise, yet not
     the lift of any 1-D map.
 
-    On the face with first coordinate zero it contracts then stretches the
-    second coordinate piecewise (1/8 ↦ 1/16 while 1/2 stays fixed); the
-    permutation rules extend it to the whole boundary and the ray
-    extension carries it inward without moving any layer.
+    On each edge of the boundary it is the lift to the 1-simplex of a map
+    that contracts then stretches the smaller coordinate piecewise
+    (1/8 ↦ 1/16 while 1/2 stays fixed); the boundary extension with both
+    cross levels 0 carries it inward without moving any layer.
     """
     q = Fraction
     g = polygon([(0, 0), (q(1, 4), q(1, 8)), (q(1, 3), q(1, 3)), (q(1, 2), q(1, 2))])
-    ginv = pl_inverse(g)
+    edge = lambda_lift(g, 1)
 
-    def warp_pair(u: Fraction, v: Fraction, h: PLMap) -> Tuple[Fraction, Fraction]:
-        # (u, v) with u + v = 1; the smaller entry moves through h.
-        if u <= v:
-            w = pl_eval(h, u)
-            return w, 1 - w
-        w = pl_eval(h, v)
-        return 1 - w, w
+    def on_edges(f: PointMap) -> PointMap:
+        def boundary_map(y: BaryPoint) -> BaryPoint:
+            slot = y.nums.index(0)  # delete a zero slot, map the edge, put the zero back
+            image = f(BaryPoint(y.nums[:slot] + y.nums[slot + 1 :], y.den))
+            return BaryPoint(image.nums[:slot] + (0,) + image.nums[slot:], image.den)
 
-    def boundary_map_with(h: PLMap, y: BaryPoint) -> BaryPoint:
-        slot = y.index(Fraction(0))
-        rest = [m for m in range(3) if m != slot]
-        u, v = y[rest[0]], y[rest[1]]
-        nu, nv = warp_pair(u, v, h)
-        out = [Fraction(0)] * 3
-        out[rest[0]], out[rest[1]] = nu, nv
-        return BaryPoint(out)
+        return boundary_map
 
-    phi = lambda y: boundary_map_with(g, y)
-    phi_inv = lambda y: boundary_map_with(ginv, y)
-    homeo = extend_from_layer(phi, 0, 0, 2, phi_inverse=phi_inv)
+    homeo = extend_from_boundary(on_edges(edge), 0, 0, 2, on_edges(edge.inverse_at))
     homeo.label = "counterexample"
     return homeo

@@ -3,9 +3,10 @@
 A ``PLMap`` is stored as its ordered breakpoint list and normalized so
 that collinear interior breakpoints are removed; two maps are equal as
 functions exactly when their normalized breakpoint tuples are equal.
-Evaluation runs on integer numerators: each map computes, once, a piece
-table that gives every linear piece as its right end and two integers
-a, b over one common denominator C, so that f(t) = (a*t + b)/C there.
+Evaluation runs on integer numerators: each map is built together with
+its piece table, which gives every linear piece as its right end and two
+integers a, b over one common denominator C, so that f(t) = (a*t + b)/C
+there.
 At t = p/q the value is (a*p + b*q)/(C*q), reduced once.
 Besides the generic operations (evaluate, invert, compose) the module
 provides the named constructors used by the simplex homeomorphisms: the
@@ -17,9 +18,8 @@ extension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
 from .geometry import BaryPoint, format_rational
@@ -49,9 +49,16 @@ class CrossMismatch(ValueError):
 
 @dataclass(frozen=True)
 class PLMap:
-    """Increasing piecewise-linear homeomorphism given by its breakpoints."""
+    """Increasing piecewise-linear homeomorphism given by its breakpoints.
+
+    ``pieces`` is the piece table (C, pieces), left to right, built with
+    the map by ``_normalized`` from the lines normalization computed.  C
+    is the least common denominator of every slope and intercept, so that
+    each piece's a = C*slope and b = C*intercept are integers.
+    """
 
     points: Tuple[Breakpoint, ...]
+    pieces: Tuple[int, Tuple[Piece, ...]] = field(compare=False)
 
     @property
     def lo(self) -> Fraction:
@@ -72,19 +79,6 @@ class PLMap:
     @property
     def domain(self) -> Tuple[Fraction, Fraction]:
         return (self.lo, self.hi)
-
-    @cached_property
-    def pieces(self) -> Tuple[int, Tuple[Piece, ...]]:
-        """The piece table (C, pieces), left to right.  A map built by
-        ``_normalized`` gets it from the lines that normalization computed;
-        any other map computes it on first use.
-
-        C is the least common denominator of every slope and intercept, so
-        that each piece's a = C*slope and b = C*intercept are integers.
-        """
-        pts = self.points
-        lines = [_line(u0, v0, u1, v1) for (u0, v0), (u1, v1) in zip(pts, pts[1:])]
-        return _piece_table(pts, lines)
 
     def __call__(self, t: Fraction) -> Fraction:
         return pl_eval(self, t)
@@ -120,16 +114,6 @@ def _line(u0: Fraction, v0: Fraction, u1: Fraction, v1: Fraction) -> Tuple[int, 
     return a // g, b // g, den // g
 
 
-def _piece_table(points: Sequence[Breakpoint], lines: Sequence[Tuple[int, int, int]]):
-    """The piece table (C, pieces) of the segments between ``points``,
-    whose lines are ``lines``."""
-    C = math.lcm(*(den for _, _, den in lines))
-    return C, tuple(
-        (u.numerator, u.denominator, a * (C // den), b * (C // den))
-        for (u, _), (a, b, den) in zip(points[1:], lines)
-    )
-
-
 def _normalized(points: Sequence[Breakpoint]) -> PLMap:
     """The map through ``points`` with the interior breakpoints where the
     line does not change dropped, so map equality is decidable by comparing
@@ -145,9 +129,12 @@ def _normalized(points: Sequence[Breakpoint]) -> PLMap:
         else:
             out.append((u1, v1))
             lines.append(line)
-    f = PLMap(tuple(out))
-    f.__dict__["pieces"] = _piece_table(out, lines)  # where ``cached_property`` keeps it
-    return f
+    C = math.lcm(*(den for _, _, den in lines))
+    pieces = tuple(
+        (u.numerator, u.denominator, a * (C // den), b * (C // den))
+        for (u, _), (a, b, den) in zip(out[1:], lines)
+    )
+    return PLMap(tuple(out), (C, pieces))
 
 
 def polygon(points: Iterable, domain: Tuple = None) -> PLMap:
@@ -199,7 +186,7 @@ def pl_eval(f: PLMap, t: Fraction) -> Fraction:
 
 def pl_inverse(f: PLMap) -> PLMap:
     """The inverse homeomorphism; breakpoint pairs are swapped."""
-    return PLMap(tuple((v, u) for u, v in f.points))
+    return _normalized([(v, u) for u, v in f.points])
 
 
 def pl_compose(g: PLMap, f: PLMap) -> PLMap:
@@ -253,6 +240,8 @@ def sigma_polygon(alpha, beta, hi) -> PLMap:
     """Three-point polygon on [0, hi] fixing the endpoints with α ↦ β."""
     alpha, beta, hi = Fraction(alpha), Fraction(beta), Fraction(hi)
     if alpha == beta:
+        if not 0 <= alpha <= hi:
+            raise ValueError(f"level {alpha} must lie in [0, {hi}]")
         return identity_map(0, hi)
     if not (0 < alpha < hi and 0 < beta < hi):
         raise ValueError(f"levels ({alpha}, {beta}) must lie strictly inside (0, {hi})")

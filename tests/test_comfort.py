@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from simplexboundary.comfort import (
     BadDomain,
     BadLevels,
+    CrossPropertyViolation,
     EndpointNotFixed,
     SimplexHomeo,
     check_comfort,
@@ -27,10 +28,14 @@ from simplexboundary.geometry import (
     format_point,
     layer_samples,
     min_value,
+    multi_zero_samples,
     on_cross,
     project_boundary,
+    project_layer,
+    segment_eval,
 )
 from simplexboundary.pl1d import (
+    CrossMismatch,
     identity_map,
     phi_n0,
     pl_compose,
@@ -38,10 +43,11 @@ from simplexboundary.pl1d import (
     pl_inverse,
     polygon,
     sigma_polygon,
+    tau_polygon,
 )
 
 from test_geometry import assert_exactly, coprime_points, lattice_points
-from test_pl1d import pl_homeos, random_homeo, reference_pl_eval
+from test_pl1d import outcome, pl_homeos, random_homeo, reference_pl_eval
 
 
 def small_grid(n, k=12):
@@ -330,6 +336,151 @@ def test_boundary_extension_inverse_laws_property(data):
     beta = pl_eval(f, alpha)
     ext = extend_from_boundary(lifted, alpha, beta, n, phi_inverse=lifted.inverse_at)
     _assert_inverse_laws(ext, data.draw(points(n)), data.draw(points(n)))
+
+
+# ---------------------------------------------------------------------------
+# The ray extensions and the counterexample against their own formulas
+
+
+def reference_layer_extension(phi, alpha, beta, n):
+    """The layer extension written out: the ray through the image of the
+    layer point, the parameter through σ on [0, 1/(n+1)] scaled by n+1;
+    the identity when both levels are 1/(n+1)."""
+    cval = F(1, n + 1)
+    if alpha == beta == cval:
+        return lambda x: x
+    ctr = center(n)
+    sig = sigma_polygon(alpha, beta, cval)
+
+    def forward(x):
+        a = min_value(x)
+        if a == cval:
+            return ctr
+        ray_foot = project_boundary(phi(project_layer(x, alpha)))
+        return segment_eval(ctr, ray_foot, pl_eval(sig, a) * (n + 1))
+
+    return forward
+
+
+def reference_boundary_extension(phi, alpha, beta, n):
+    """The boundary extension written out: phi on the boundary, the ray
+    parameter through tau[b] over b = project_boundary(x) inside."""
+    cval = F(1, n + 1)
+    ctr = center(n)
+
+    def forward(x):
+        a = min_value(x)
+        if a == 0:
+            return phi(x)
+        if a == cval:
+            return ctr
+        b = project_boundary(x)
+        c = phi(b)
+        try:
+            ray_map = tau_polygon(b, c, alpha, beta)
+        except CrossMismatch as exc:
+            raise CrossPropertyViolation(
+                f"boundary image of {format_point(b)} leaves the target cross: {exc}"
+            ) from exc
+        return segment_eval(ctr, c, pl_eval(ray_map, a * (n + 1)))
+
+    return forward
+
+
+def reference_counterexample_boundary_map(h):
+    """On the edge where y has a zero, the smaller of the other two
+    coordinates moves through ``h`` and the larger takes up the rest."""
+
+    def warp_pair(u, v):
+        if u <= v:
+            w = pl_eval(h, u)
+            return w, 1 - w
+        w = pl_eval(h, v)
+        return 1 - w, w
+
+    def boundary_map_with(y):
+        slot = y.index(F(0))
+        rest = [m for m in range(3) if m != slot]
+        out = [F(0)] * 3
+        out[rest[0]], out[rest[1]] = warp_pair(y[rest[0]], y[rest[1]])
+        return BaryPoint(out)
+
+    return boundary_map_with
+
+
+def reference_inputs(n):
+    """The center, a small grid, boundary points, and layers at several levels."""
+    pts = [center(n), *small_grid(n), *boundary_samples(n, 6)]
+    if n >= 2:
+        pts += multi_zero_samples(n, 6)
+    for k in (2, 3, 5, 7):
+        pts += layer_samples(n, F(1, k * (n + 1)), 4)
+    return pts
+
+
+def refusing(phi):
+    """``phi``, raising on the points whose slot 0 holds the unique largest
+    coordinate, so that errors pass through the extensions."""
+
+    def partial(y):
+        if all(y[0] > ym for ym in y[1:]):
+            raise ValueError(f"refused {format_point(y)}")
+        return phi(y)
+
+    return partial
+
+
+def assert_same_map(homeo, forward, inverse):
+    for x in reference_inputs(homeo.dim):
+        assert outcome(homeo, x) == outcome(forward, x)
+        assert outcome(homeo.inverse_at, x) == outcome(inverse, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_layer_extension_matches_reference(n):
+    cval = F(1, n + 1)
+    for alpha, beta in ((cval / 2, cval / 3), (cval / 5, cval / 2), (F(0), F(0)), (cval, cval)):
+        lifted = lambda_lift(sigma_polygon(alpha, beta, cval) if alpha != beta else phi_n0(n), n)
+        for phi, phi_inv in ((lifted, lifted.inverse_at), (refusing(lifted), refusing(lifted.inverse_at))):
+            assert_same_map(
+                extend_from_layer(phi, alpha, beta, n, phi_inverse=phi_inv),
+                reference_layer_extension(phi, alpha, beta, n),
+                reference_layer_extension(phi_inv, beta, alpha, n),
+            )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_boundary_extension_matches_reference(n):
+    cval = F(1, n + 1)
+    rotate = lambda y: BaryPoint(y.nums[1:] + y.nums[:1], y.den)  # moves the zeros: off the 0-cross
+    cases = [(cval / 2, cval / 3, lambda_lift(sigma_polygon(cval / 2, cval / 3, cval), n))]
+    cases.append((F(0), F(0), lambda_lift(phi_n0(n), n)))
+    for alpha, beta, lifted in cases:
+        for phi, phi_inv in ((lifted, lifted.inverse_at), (refusing(lifted), refusing(lifted.inverse_at))):
+            assert_same_map(
+                extend_from_boundary(phi, alpha, beta, n, phi_inverse=phi_inv),
+                reference_boundary_extension(phi, alpha, beta, n),
+                reference_boundary_extension(phi_inv, beta, alpha, n),
+            )
+    rotated = extend_from_boundary(rotate, 0, 0, n, phi_inverse=rotate)
+    reference = reference_boundary_extension(rotate, F(0), F(0), n)
+    assert_same_map(rotated, reference, reference)
+    assert CrossPropertyViolation in {outcome(rotated, x)[0] for x in small_grid(n)}
+
+
+def test_counterexample_matches_reference():
+    q = F
+    g = polygon([(0, 0), (q(1, 4), q(1, 8)), (q(1, 3), q(1, 3)), (q(1, 2), q(1, 2))])
+    phi = reference_counterexample_boundary_map(g)
+    phi_inv = reference_counterexample_boundary_map(pl_inverse(g))
+    homeo = counterexample_map()
+    assert_same_map(
+        homeo,
+        reference_boundary_extension(phi, F(0), F(0), 2),
+        reference_boundary_extension(phi_inv, F(0), F(0), 2),
+    )
+    for y in boundary_samples(2, 6) + multi_zero_samples(2, 6):  # the boundary maps themselves
+        assert homeo(y) == phi(y) and homeo.inverse_at(y) == phi_inv(y)
 
 
 # ---------------------------------------------------------------------------

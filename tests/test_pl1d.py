@@ -1,3 +1,4 @@
+import math
 import random
 from bisect import bisect_right
 from fractions import Fraction as F
@@ -49,7 +50,8 @@ def pl_homeos(draw, hi=F(1), den=48):
 
 # ---------------------------------------------------------------------------
 # Reference formulas: the plain ``Fraction`` arithmetic the integer piece
-# table and breakpoints must reproduce exactly.
+# table and breakpoints must reproduce exactly.  The polygon references
+# return breakpoint tuples, compared with a built map's ``points``.
 
 
 def reference_normalize(points):
@@ -81,7 +83,7 @@ def reference_polygon(points, domain=None):
             raise BadEndpoints(
                 f"breakpoints span [{pairs[0][0]}, {pairs[-1][0]}], expected [{lo}, {hi}]"
             )
-    return PLMap(reference_normalize(pairs))
+    return reference_normalize(pairs)
 
 
 def reference_pl_eval(f, t):
@@ -124,6 +126,23 @@ def reference_tau_polygon(b, c, alpha, beta):
     return reference_polygon(pairs, domain=(0, 1))
 
 
+def assert_piece_table(f):
+    """``f``'s piece table against its breakpoints: each piece ends at its
+    breakpoint and reproduces ``reference_pl_eval`` at both of its ends,
+    and C is the lcm of the reduced denominators of the lines."""
+    C, pieces = f.pieces
+    pts = f.points
+    assert len(pieces) == len(pts) - 1
+    line_dens = []
+    for (u0, v0), (u1, v1), (rp, rq, a, b) in zip(pts, pts[1:], pieces):
+        assert (rp, rq) == (u1.numerator, u1.denominator)
+        for u in (u0, u1):
+            assert (a * u + b) / C == reference_pl_eval(f, u)
+        slope = (v1 - v0) / (u1 - u0)
+        line_dens.append(math.lcm(slope.denominator, (v0 - slope * u0).denominator))
+    assert C == math.lcm(*line_dens)
+
+
 def outcome(fn, *args):
     """``fn(*args)``, or the type and message of the ``ValueError`` it raises."""
     try:
@@ -150,6 +169,10 @@ def test_pl_eval_matches_reference(data):
     for t in (-F(1, q), hi + F(1, q)):
         assert outcome(pl_eval, f, t) == outcome(reference_pl_eval, f, t)
         assert outcome(pl_eval, f, t)[0] is OutOfDomain
+    inv = pl_inverse(f)  # normalized, with a table that undoes f at every breakpoint
+    assert inv.points == reference_normalize([(v, u) for u, v in f.points])
+    assert_piece_table(inv)
+    assert all(pl_eval(inv, v) == u for u, v in f.points)
 
 
 @st.composite
@@ -185,9 +208,10 @@ def test_tau_polygon_matches_reference(data):
         c = data.draw(boundary_points(n, beta))
     expected = outcome(reference_tau_polygon, b, c, alpha, beta)
     got = outcome(tau_polygon, b, c, alpha, beta)
-    assert got == expected
     if isinstance(got, PLMap):
-        assert got.pieces == PLMap(got.points).pieces
+        assert_piece_table(got)
+        got = got.points
+    assert got == expected
 
 
 @settings(max_examples=300)
@@ -201,9 +225,10 @@ def test_polygon_matches_reference(data):
     points = data.draw(st.permutations(points))
     domain = data.draw(st.sampled_from((None, (0, 1))))
     got = outcome(polygon, points, domain)
+    if isinstance(got, PLMap):
+        assert_piece_table(got)
+        got = got.points
     assert got == outcome(reference_polygon, points, domain)
-    if isinstance(got, PLMap):  # built with its breakpoints: the table the breakpoints give
-        assert got.pieces == PLMap(got.points).pieces
 
 
 def test_polygon_duplicates_collapse_and_errors_keep_their_messages():
@@ -323,6 +348,10 @@ def test_sigma_polygon():
     assert pl_eval(s, F(1, 6)) == F(1, 8)
     assert pl_eval(s, 0) == 0 and pl_eval(s, F(1, 3)) == F(1, 3)
     assert sigma_polygon(F(1, 6), F(1, 6), F(1, 3)) == identity_map(0, F(1, 3))
+    assert sigma_polygon(0, 0, 1) == sigma_polygon(1, 1, 1) == identity_map(0, 1)
+    for level in (2, F(-1, 6)):  # equal levels outside [0, hi]: no identity on [0, hi]
+        with pytest.raises(ValueError, match=f"^level {level} must lie in \\[0, 1/3\\]$"):
+            sigma_polygon(level, level, F(1, 3))
 
 
 def test_tau_polygon_identity_when_levels_match():
