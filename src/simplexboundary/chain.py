@@ -8,25 +8,26 @@ together with an ordered list of precomposed face maps; each face is
 internal face parallel to its slot.  The boundary operator appends one
 face per summand.
 
-One generator expands a term into the summands of its boundary; the
-operator, both sides of the commutation identity and the cancellation
-certificate all use it, and every composite is evaluated by
-``SingularTerm.evaluate``.  Every summand of the double boundary is "Θ,
-then insert, Θ, then insert", so all checks on one grid run the same few
-Θ maps at the same points; they share one memo of Θ values (a dict
-keyed by the resolved map object and the exact point, never a sorted
-form of it), and only values whose map returned are stored.  Identity Θ
-maps (all of L = 0, and Θ on the 0-simplex) bypass it.  Two checks make
-the defining identities executable:
+One generator expands a term into the summands of its boundary and
+another, nesting it, into those of its double boundary; the operator
+uses the first and both checks the second, and every composite is
+evaluated by ``SingularTerm.evaluate``.  Every summand of the double
+boundary is "Θ, then insert, Θ, then insert", so the instances of one
+level run the same few Θ maps at the same points; the level check
+shares one memo of Θ values among them (a dict keyed by the resolved
+map object and the exact point, never a sorted form of it), and only
+values whose map returned are stored.  Identity Θ maps (all of L = 0,
+and Θ on the 0-simplex) bypass it.  Two checks make the defining
+identities executable:
 
-* ``check_equation`` evaluates the two summands (j,p,i,k) and
-  (p+1,j,k,i) of the double boundary of the identity chain on a grid and
-  demands exact agreement;
+* ``check_equation`` evaluates, for every instance of a level, the two
+  summands (j,p,i,k) and (p+1,j,k,i) of the double boundary of the
+  identity chain on a grid and demands exact agreement;
 * ``check_boundary_squared`` pairs the summands of the double boundary
   through the explicit index bijection (j,p) ↦ (p+1,j) with the layer
   indices swapped, certifies that each pair carries opposite
-  coefficients, and delegates the map agreement of each pair to
-  ``check_equation``.
+  coefficients, and reads the map agreement of each pair from one
+  ``check_equation`` call one level down.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ class SingularTerm:
         ``values`` memoizes the values of non-identity Θ maps by (map
         object, exact point): a step whose Θ value is there skips the map,
         and a value is stored only once the map has returned, so a point
-        that raises raises again.  Terms evaluated on one grid can share
-        one dict.
+        that raises raises again.  ``check_equation`` shares one dict
+        among all sides of a level.
         """
         if x.dim != self.domain_dim:
             raise ValueError(f"term expects dimension {self.domain_dim}, got {x.dim}")
@@ -232,6 +233,17 @@ def _face_summands(
             yield (j, i), sign * m[i], SingularTerm(faces, n - 1, term.to_point)
 
 
+def _double_boundary(
+    term: SingularTerm, m: CoefficientTuple
+) -> Iterator[Tuple[Tuple[int, int, int, int], int, SingularTerm]]:
+    """The summands ((j, p, i, k), w, term'') of ∂∂term in (j, i, p, k) order:
+    term'' precomposes the faces (L, n, i, j) and (L, n-1, k, p), w is the
+    product of their weights, and nothing is canonicalized."""
+    for (j, i), w1, face_term in _face_summands(term, m):
+        for (p, k), w2, summand in _face_summands(face_term, m):
+            yield (j, p, i, k), w1 * w2, summand
+
+
 def boundary(c: Chain, m: CoefficientTuple) -> Chain:
     """The weighted boundary of ``c``.
 
@@ -298,70 +310,50 @@ class EquationCheck:
         }
 
 
-def equation_sides(
-    n: int, j: int, p: int, i: int, k: int, L: int = 1
-) -> Tuple[SingularTerm, SingularTerm]:
-    """The two composites Δ_{n-1} → Δ_{n+1} of the identity.
-
-    They are the summands (j,p,i,k) and (p+1,j,k,i) of the double
-    boundary of the identity (n+1)-chain.
-    """
-    weights = CoefficientTuple([1] * (L + 1))  # the weights do not enter the maps
-
-    def faces(term):
-        return {key: face for key, _, face in _face_summands(term, weights)}
-
-    top = faces(identity_term(n + 1))
-    return faces(top[j, i])[p, k], faces(top[p + 1, k])[j, i]
-
-
 def check_equation(
     n: int,
-    j: int,
-    p: int,
-    i: int,
-    k: int,
     grid: Sequence[BaryPoint],
     L: int = 1,
     grid_meta: Optional[dict] = None,
-    values: Optional[ThetaValues] = None,
-) -> EquationCheck:
-    """Exact grid agreement of the two doubled face/Θ composites.
+) -> List[EquationCheck]:
+    """Exact grid agreement of the two sides of every instance at level n.
 
-    The report's grid object is a copy of ``grid_meta`` (the grid's
-    origin, such as its denominator and seed) plus the grid's size.
-    Both sides evaluate through the Θ memo ``values`` (a fresh dict when
-    it is not given); callers pass one dict to every instance they run
-    on the same grid, since the instances run the same Θ maps at the
-    same points and differ only in where values are inserted.
+    One result per instance, in ``equation_instances(n, L)`` order; the
+    sides of (j, p, i, k) are the summands (j,p,i,k) and (p+1,j,k,i) of
+    one expansion of the double boundary of the identity (n+1)-chain.
+    Every report's grid object is a copy of ``grid_meta`` (the grid's
+    origin, such as its denominator and seed) plus the grid's size.  The
+    instances run the same Θ maps at the same points and differ only in
+    where values are inserted, so all sides share one Θ memo of the call.
 
     A point that a side rejects (any ``ValueError`` raised while
     evaluating, such as a point-validation or face-slot failure) becomes
     a witness carrying the exception in ``detail``.  A Θ map that cannot
-    be constructed, such as one past the dimension cap, raises instead.
+    be constructed, such as one past the dimension cap, raises instead,
+    before any point is evaluated.
     """
     if n < 1:
         raise ValueError("the identity needs n >= 1")
-    if not 0 <= j <= p <= n:
-        raise ValueError(f"slot indices must satisfy 0 <= j <= p <= n, got j={j}, p={p}")
-    if not (0 <= i <= L and 0 <= k <= L):
-        raise ValueError(f"layer indices ({i},{k}) outside 0..{L}")
-    left, right = equation_sides(n, j, p, i, k, L)
-    left.steps, right.steps  # resolve the Θ maps before the loop: one past the cap raises here
-    if values is None:
-        values = {}
+    weights = CoefficientTuple([1] * (L + 1))  # the weights do not enter the maps
+    summands = {key: term for key, _, term in _double_boundary(identity_term(n + 1), weights)}
+    for term in summands.values():  # every summand is a side of exactly one instance
+        term.steps  # resolve the Θ maps before the loop: one past the cap raises here
+    values: ThetaValues = {}
     grid_meta = {**(grid_meta or {}), "size": len(grid)}  # a copy: the caller's dict stays as it is
-    result = EquationCheck(n=n, L=L, j=j, p=p, i=i, k=k, grid_meta=grid_meta, points_checked=0)
-    for x in grid:
-        result.points_checked += 1
-        try:
-            lhs, rhs = left.evaluate(x, values), right.evaluate(x, values)
-        except ValueError as exc:
-            result.witnesses.append(Witness(format_point(x), "-", "-", f"{type(exc).__name__}: {exc}"))
-            continue
-        if lhs != rhs:
-            result.witnesses.append(Witness(format_point(x), format_point(lhs), format_point(rhs)))
-    return result
+    results = []
+    for (j, p, i, k) in equation_instances(n, L):
+        left, right = summands[j, p, i, k], summands[p + 1, j, k, i]
+        result = EquationCheck(n=n, L=L, j=j, p=p, i=i, k=k, grid_meta=grid_meta, points_checked=len(grid))
+        for x in grid:
+            try:
+                lhs, rhs = left.evaluate(x, values), right.evaluate(x, values)
+            except ValueError as exc:
+                result.witnesses.append(Witness(format_point(x), "-", "-", f"{type(exc).__name__}: {exc}"))
+                continue
+            if lhs != rhs:
+                result.witnesses.append(Witness(format_point(x), format_point(lhs), format_point(rhs)))
+        results.append(result)
+    return results
 
 
 def equation_instances(n: int, L: int = 1):
@@ -425,11 +417,11 @@ def check_boundary_squared(
     A pair's composites are term ∘ s and term ∘ s' for the two sides s,
     s' of the commutation identity (j, p, i, k) at level d-1; every step
     is injective, so they agree at a point exactly when s and s' do, and
-    ``check_equation`` decides that on the grid, with one Θ memo shared
-    by every term and pair of the call.  For dimension-1 chains
-    the second boundary is the zero map by definition and the
-    certificate is trivial.  The report's grid object is a copy of
-    ``grid_meta`` plus the grid's size, as in ``check_equation``.
+    one ``check_equation`` call for the whole level, made at the first
+    pair that needs it, decides that on the grid for every pair.  For
+    dimension-1 chains the second boundary is the zero map by definition
+    and the certificate is trivial.  The report's grid object is a copy
+    of ``grid_meta`` plus the grid's size, as in ``check_equation``.
     """
     L = m.L
     if L > 1:
@@ -444,13 +436,10 @@ def check_boundary_squared(
     )
     if check.trivial:
         return check
-    values: ThetaValues = {}
+    equations = None  # the identity at level d-1, run once, on the first pair that needs it
 
     for term, coeff in c.terms:
-        summands: Dict[Tuple[int, int, int, int], int] = {}
-        for (j, i), w1, face in _face_summands(term, m):
-            for (p, k), w2, _ in _face_summands(face, m):
-                summands[(j, p, i, k)] = ring.norm(coeff * w1 * w2)
+        summands = {key: ring.norm(coeff * weight) for key, weight, _ in _double_boundary(term, m)}
         check.summands_total += len(summands)
 
         consumed = set()
@@ -474,7 +463,9 @@ def check_boundary_squared(
                 continue
             if term.to_point:
                 continue  # all composites into the point coincide
-            maps = check_equation(d - 1, j, p, i, k, grid, L, values=values)
+            if equations is None:
+                equations = {(r.j, r.p, r.i, r.k): r for r in check_equation(d - 1, grid, L)}
+            maps = equations[j, p, i, k]
             check.points_checked += maps.points_checked
             for w in maps.witnesses:
                 detail = f"maps of {(j, p, i, k)} and {partner} disagree"

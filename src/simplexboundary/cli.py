@@ -27,7 +27,6 @@ from .chain import (
     check_boundary_squared,
     check_equation,
     chain_of_term,
-    equation_instances,
     identity_term,
 )
 from .comfort import PointMap, counterexample_map
@@ -76,6 +75,7 @@ def _read_config(path: str) -> dict:
 
 
 _CONFIG_INT_KEYS = {"n", "n_max", "L", "grid_denominator", "seed"}
+_NOT_CONFIG_KEYS = {"func", "command", "config"}  # parsed attributes a config file cannot set
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -83,7 +83,7 @@ def _apply_config(args: argparse.Namespace) -> None:
         return
     config = _read_config(args.config)
     for key, raw in config.items():
-        if not hasattr(args, key):
+        if key in _NOT_CONFIG_KEYS or not hasattr(args, key):
             raise UsageError(f"unknown config key {key!r}")
         if getattr(args, key) is not None:  # flags win over the config file
             continue
@@ -169,20 +169,17 @@ def cmd_verify_equations(args) -> int:
         args.n_max = args.n
     _check_levels(args, args.L, args.n_max)
     instances = []
-    all_pass = True
     levels = range(args.n, args.n_max + 1)
     origin, grids = _grids(args, [n - 1 for n in levels])
     _check_writable(args.out)
     for n, grid in zip(levels, grids):
-        values = {}  # one Θ memo per level: its instances share the grid
-        for (j, p, i, k) in equation_instances(n, args.L):
-            res = check_equation(n, j, p, i, k, grid, args.L, grid_meta=origin, values=values)
+        for res in check_equation(n, grid, args.L, grid_meta=origin):
             instances.append(res)
-            all_pass &= res.verdict
             print(
-                f"equation n={n} j={j} p={p} i={i} k={k}: "
+                f"equation n={n} j={res.j} p={res.p} i={res.i} k={res.k}: "
                 f"{'pass' if res.verdict else 'FAIL'} ({res.points_checked} points)"
             )
+    all_pass = all(r.verdict for r in instances)
     report = {
         "check": "equations",
         "parameters": {"n": args.n, "n_max": args.n_max, "L": args.L},
@@ -207,7 +204,6 @@ def cmd_verify_boundary(args) -> int:
     _check_family(m.L)
     _check_levels(args, m.L, args.n_max - 1)
     runs = []
-    all_pass = True
     dims = range(args.n, args.n_max + 1)
     origin, grids = _grids(args, [max(dim - 2, 0) for dim in dims])
     _check_writable(args.out)
@@ -215,12 +211,12 @@ def cmd_verify_boundary(args) -> int:
         chain = chain_of_term(identity_term(dim))
         res = check_boundary_squared(chain, m, grid, grid_meta=origin)
         runs.append(res)
-        all_pass &= res.verdict
         print(
             f"boundary-squared dim={dim} m={tuple(m)}: "
             f"{'pass' if res.verdict else 'FAIL'} "
             f"({res.summands_total} summands, {res.pairs_checked} pairs)"
         )
+    all_pass = all(r.verdict for r in runs)
     report = {
         "check": "boundary-squared",
         "parameters": {"n": args.n, "n_max": args.n_max, "m": list(m)},

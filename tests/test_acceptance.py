@@ -14,7 +14,6 @@ from simplexboundary.chain import (
     chain_of_term,
     check_boundary_squared,
     check_equation,
-    equation_instances,
     identity_term,
 )
 from simplexboundary.comfort import (
@@ -89,11 +88,9 @@ def test_criterion_2_equation_suite():
             grid = canonical_grid(n - 1)
             if n >= 2:
                 assert len(grid) >= 50  # dimension-0 domains hold a single point
-            values = {}  # one Θ memo per level, as the CLI runs it
-            for (j, p, i, k) in equation_instances(n, L):
-                res = check_equation(n, j, p, i, k, grid, L, values=values)
+            for res in check_equation(n, grid, L):  # one level check, as the CLI runs it
                 if not res.verdict:
-                    failures.append((L, n, j, p, i, k, res.witnesses[:1]))
+                    failures.append((L, n, res.j, res.p, res.i, res.k, res.witnesses[:1]))
     elapsed = time.monotonic() - start
     assert not failures, failures
     assert elapsed < 120.0, f"equation suite took {elapsed:.1f}s"

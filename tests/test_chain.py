@@ -12,9 +12,9 @@ from simplexboundary.chain import (
     boundary,
     chain_of_term,
     check_boundary_squared,
+    _double_boundary,
     check_equation,
     equation_instances,
-    equation_sides,
     identity_term,
     point_term,
 )
@@ -24,6 +24,20 @@ from simplexboundary.theta import FaceMap, ThetaKey, UnsupportedL, face_insert
 
 def small_grid(n, k=8):
     return canonical_grid(n, sponge_cap=k, random_count=k)
+
+
+def equation_sides(n, j, p, i, k, L=1):
+    """The summands (j,p,i,k) and (p+1,j,k,i) of the double boundary of
+    the identity (n+1)-chain: the two sides of one instance."""
+    weights = CoefficientTuple([1] * (L + 1))
+    summands = {key: term for key, _, term in _double_boundary(identity_term(n + 1), weights)}
+    return summands[j, p, i, k], summands[p + 1, j, k, i]
+
+
+def instance(results, j, p, i, k):
+    """The result of instance (j, p, i, k) out of one level check."""
+    [res] = [r for r in results if (r.j, r.p, r.i, r.k) == (j, p, i, k)]
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -127,25 +141,31 @@ def test_equation_sides_are_double_boundary_summands():
 
 
 def test_check_equation_passes():
-    res = check_equation(1, 0, 0, 0, 1, small_grid(0))
+    res = instance(check_equation(1, small_grid(0)), 0, 0, 0, 1)
     assert res.verdict and res.points_checked == 1
-    res = check_equation(2, 1, 2, 1, 0, small_grid(1))
+    res = instance(check_equation(2, small_grid(1)), 1, 2, 1, 0)
     assert res.verdict
 
 
 def test_check_equation_trivial_diagonal():
     for n in (1, 2, 3):
-        res = check_equation(n, 0, n, 0, 0, small_grid(n - 1, 4))
+        res = instance(check_equation(n, small_grid(n - 1, 4)), 0, n, 0, 0)
         assert res.verdict
 
 
 def test_check_equation_index_validation():
     with pytest.raises(ValueError):
-        check_equation(2, 2, 1, 0, 0, small_grid(1))
-    with pytest.raises(ValueError):
-        check_equation(2, 0, 0, 2, 0, small_grid(1))
-    with pytest.raises(ValueError):
-        check_equation(0, 0, 0, 0, 0, small_grid(0))
+        check_equation(0, small_grid(0))
+
+
+def test_check_equation_runs_every_instance_of_the_level():
+    for n, L in ((1, 1), (2, 1), (3, 0)):
+        grid = small_grid(n - 1, 4)
+        results = check_equation(n, grid, L)
+        assert [(r.n, r.L, r.j, r.p, r.i, r.k) for r in results] == [
+            (n, L, *key) for key in equation_instances(n, L)
+        ]
+        assert all(r.verdict and r.points_checked == len(grid) for r in results)
 
 
 def test_equation_instances_count():
@@ -174,18 +194,8 @@ def adversarial_points(n):
 
 
 def test_check_equation_on_adversarial_inputs():
-    import itertools
-
-    for n in (2, 3):
-        grid = adversarial_points(n - 1)
-        for j in range(n + 1):
-            for p in range(j, n + 1):
-                for i, k in itertools.product((0, 1), (0, 1)):
-                    assert check_equation(n, j, p, i, k, grid).verdict
-    grid = adversarial_points(3)
-    for (j, p) in [(0, 0), (0, 4), (2, 3), (4, 4)]:
-        for i, k in itertools.product((0, 1), (0, 1)):
-            assert check_equation(4, j, p, i, k, grid).verdict
+    for n in (2, 3, 4):
+        assert all(res.verdict for res in check_equation(n, adversarial_points(n - 1)))
 
 
 def patch_theta(monkeypatch, patched_key, point_map):
@@ -209,44 +219,26 @@ def rejecting_theta(monkeypatch, bad_key):
 def test_check_equation_records_rejections_as_witnesses(monkeypatch):
     rejecting_theta(monkeypatch, ThetaKey(1, 1, 1))
     grid = small_grid(1, 4)
-    res = check_equation(2, 0, 1, 0, 1, grid)
+    res = instance(check_equation(2, grid), 0, 1, 0, 1)
     assert not res.verdict
     assert res.points_checked == len(grid)
     assert len(res.witnesses) == len(grid)
     w = res.witnesses[0]
     assert (w.left, w.right) == ("-", "-")
     assert w.detail == "NotOnFace: rejected for the test"
-    with pytest.raises(ValueError):
-        check_equation(2, 2, 1, 0, 0, grid)  # index checks still raise
 
 
-def equation_suite_reports(shared, Ls=(1, 0)):
-    """``to_json()`` of every instance at levels 1..3, with one Θ memo per
-    level (``shared``) or a fresh one per instance."""
-    reports = []
-    for L in Ls:
-        for n in range(1, 4):
-            grid, values = small_grid(n - 1), {}
-            for (j, p, i, k) in equation_instances(n, L):
-                res = check_equation(n, j, p, i, k, grid, L, values=values if shared else None)
-                reports.append(res.to_json())
-    return reports
-
-
-def test_shared_theta_memo_changes_no_result():
-    assert equation_suite_reports(True) == equation_suite_reports(False)
-
-
-def test_shared_theta_memo_keeps_rejections(monkeypatch):
-    rejecting_theta(monkeypatch, ThetaKey(1, 1, 1))
-    shared = equation_suite_reports(True, Ls=(1,))
-    assert any(r["witnesses"] for r in shared)
-    assert shared == equation_suite_reports(False, Ls=(1,))
+def level_witnesses(L):
+    """Per instance at levels 1..3, the report's witnesses, from one level
+    check (and so one Θ memo) per level."""
+    return [
+        res.to_json()["witnesses"] for n in range(1, 4) for res in check_equation(n, small_grid(n - 1), L)
+    ]
 
 
 def direct_witnesses(L):
-    """Per instance at levels 1..3, the (point, left, right) where the two
-    sides, composed step by step without a memo, disagree."""
+    """Per instance at levels 1..3, the witnesses of the two sides composed
+    step by step without a memo, as the report writes them."""
     def compose(term, x):
         for homeo, fm, _ in term.steps:
             x = face_insert(fm, homeo(x))
@@ -257,18 +249,38 @@ def direct_witnesses(L):
         grid = small_grid(n - 1)
         for (j, p, i, k) in equation_instances(n, L):
             sides = equation_sides(n, j, p, i, k, L)
-            values = [(x, *(compose(side, x) for side in sides)) for x in grid]
-            witnesses.append([tuple(map(format_point, v)) for v in values if v[1] != v[2]])
+            found = []
+            for x in grid:
+                point = format_point(x)
+                try:
+                    left, right = (compose(side, x) for side in sides)
+                except ValueError as exc:
+                    found.append({"point": point, "left": "-", "right": "-",
+                                  "detail": f"{type(exc).__name__}: {exc}"})
+                    continue
+                if left != right:
+                    found.append({"point": point, "left": format_point(left), "right": format_point(right)})
+            witnesses.append(found)
     return witnesses
+
+
+def test_shared_theta_memo_changes_no_result():
+    for L in (1, 0):
+        assert level_witnesses(L) == direct_witnesses(L)
+
+
+def test_shared_theta_memo_keeps_rejections(monkeypatch):
+    rejecting_theta(monkeypatch, ThetaKey(1, 1, 1))
+    witnessed = level_witnesses(1)
+    assert any(witnessed) and not all(witnessed)
+    assert witnessed == direct_witnesses(1)
 
 
 def test_shared_theta_memo_keys_on_the_exact_point(monkeypatch):
     # Reversing three coordinates does not respect permutations, so a memo
     # keyed on a sorted form of the point would return wrong values.
     patch_theta(monkeypatch, ThetaKey(1, 2, 1), lambda x: BaryPoint(reversed(x)))
-    shared = equation_suite_reports(True, Ls=(1,))
-    assert shared == equation_suite_reports(False, Ls=(1,))
-    witnessed = [[(w["point"], w["left"], w["right"]) for w in r["witnesses"]] for r in shared]
+    witnessed = level_witnesses(1)
     assert any(witnessed)
     assert witnessed == direct_witnesses(1)
 
@@ -284,7 +296,7 @@ def test_identity_theta_values_are_not_memoized():
 
 def test_check_equation_past_dimension_cap_raises():
     with pytest.raises(ValueError, match="up to dimension 6"):
-        check_equation(7, 0, 0, 0, 1, [])
+        check_equation(7, [])
 
 
 def test_certificate_reports_rejections_with_pair(monkeypatch):
@@ -302,7 +314,7 @@ def test_certificate_reports_rejections_with_pair(monkeypatch):
 
 
 def test_check_equation_report_shape():
-    res = check_equation(1, 0, 1, 1, 0, small_grid(0))
+    res = instance(check_equation(1, small_grid(0)), 0, 1, 1, 0)
     data = res.to_json()
     assert data["check"] == "equation"
     assert data["verdict"] == "pass"
@@ -394,10 +406,33 @@ def test_certificate_grid_size_is_the_grid_length():
     assert res.to_json()["grid"] == {"size": len(grid)}
 
 
+def test_certificate_runs_the_identity_once_per_call(monkeypatch):
+    # Two terms with map checks: each pair reads its instance from one
+    # level check, and the witnesses and points are those of the two
+    # one-term certificates in the chain's term order.
+    from simplexboundary import chain as chain_module
+
+    rejecting_theta(monkeypatch, ThetaKey(1, 1, 1))
+    m, grid = CoefficientTuple([9, 4]), small_grid(1, 4)
+    chain = Chain.make(INTEGERS, 3, {identity_term(3): 1, SingularTerm((FaceMap(1, 4, 0, 1),), 3): 2})
+    parts = [check_boundary_squared(Chain(INTEGERS, 3, (tc,)), m, grid) for tc in chain.terms]
+    calls, real = [], chain_module.check_equation
+    monkeypatch.setattr(chain_module, "check_equation", lambda n, *args: calls.append(n) or real(n, *args))
+    res = check_boundary_squared(chain, m, grid)
+    assert calls == [2]
+    assert res.witnesses and res.witnesses == parts[0].witnesses + parts[1].witnesses
+    assert res.points_checked == sum(part.points_checked for part in parts) == 2 * 24 * len(grid)
+    assert res.consumed == res.summands_total == 2 * 48
+    # Chains with no map to check make no call.
+    check_boundary_squared(chain_of_term(identity_term(1)), m, grid)
+    check_boundary_squared(chain_of_term(point_term(3)), m, grid)
+    assert calls == [2]
+
+
 def test_checks_copy_the_grid_origin():
     origin = {"denominator": 60, "seed": 7}
     grid = small_grid(1)
-    equation = check_equation(2, 0, 1, 0, 1, grid, grid_meta=origin)
+    equation = instance(check_equation(2, grid, grid_meta=origin), 0, 1, 0, 1)
     certificate = check_boundary_squared(
         chain_of_term(identity_term(2)), CoefficientTuple([9, 4]), small_grid(0), grid_meta=origin
     )

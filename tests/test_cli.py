@@ -230,6 +230,17 @@ def test_unknown_config_key(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_keys_that_mirror_no_flag_are_unknown(tmp_path, capsys):
+    # The parsed arguments also hold the command, its function and the
+    # config path; a config file sets none of them.
+    config = tmp_path / "run.cfg"
+    for line in ("func=1", "command=x", f"config={config}"):
+        config.write_text(f"{line}\n")
+        code, stdout, stderr = run(capsys, "homology", "--m", "9,4", "--n-max", "1", "--config", str(config))
+        assert code == 2 and stdout == ""
+        assert f"unknown config key {line.partition('=')[0]!r}" in stderr
+
+
 def test_config_not_utf8_exits_two(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_bytes(b"\xff\xfe m=9,4\n")
