@@ -75,7 +75,7 @@ def _read_config(path: str) -> dict:
 
 
 _CONFIG_INT_KEYS = {"n", "n_max", "L", "grid_denominator", "seed"}
-_NOT_CONFIG_KEYS = {"func", "command", "config"}  # parsed attributes a config file cannot set
+_NOT_CONFIG_KEYS = {"func", "command", "config", "map", "point"}  # bookkeeping, required flags
 
 
 def _apply_config(args: argparse.Namespace) -> None:

@@ -3,10 +3,11 @@
 A ``PLMap`` is stored as its ordered breakpoint list and normalized so
 that collinear interior breakpoints are removed; two maps are equal as
 functions exactly when their normalized breakpoint tuples are equal.
-Evaluation runs on integer numerators: each map is built together with
-its piece table, which gives every linear piece as its right end and two
-integers a, b over one common denominator C, so that f(t) = (a*t + b)/C
-there.
+One constructor, ``_normalized``, builds every map and checks that its
+inputs and outputs strictly increase.  Evaluation runs on integer
+numerators: each map is built together with its piece table, which gives
+every linear piece as its right end and two integers a, b over one common
+denominator C, so that f(t) = (a*t + b)/C there.
 At t = p/q the value is (a*p + b*q)/(C*q), reduced once.
 Besides the generic operations (evaluate, invert, compose) the module
 provides the named constructors used by the simplex homeomorphisms: the
@@ -33,10 +34,6 @@ Piece = Tuple[int, int, int, int]
 
 class NonMonotone(ValueError):
     """Breakpoints do not describe a strictly increasing map."""
-
-
-class BadEndpoints(ValueError):
-    """The requested domain endpoints are missing from the breakpoints."""
 
 
 class OutOfDomain(ValueError):
@@ -99,8 +96,9 @@ def _exact(c) -> Fraction:
 
 
 def _line(u0: Fraction, v0: Fraction, u1: Fraction, v1: Fraction) -> Tuple[int, int, int]:
-    """The line through (u0, v0) and (u1, v1), u0 < u1, as integers (a, b, den)
-    in lowest terms with den > 0, so that it maps t to (a*t + b)/den.
+    """The line through (u0, v0) and (u1, v1), u0 <= u1, as integers (a, b, den)
+    in lowest terms, mapping t to (a*t + b)/den; den >= 0 is 0 exactly when
+    u0 = u1, and a > 0 exactly when v0 < v1.
 
     With u = p/q and v = r/s, a = (r1*s0 - r0*s1)*q0*q1,
     b = r0*p1*s1*q0 - r1*p0*s0*q1 and den = s0*s1*(p1*q0 - p0*q1).
@@ -110,20 +108,28 @@ def _line(u0: Fraction, v0: Fraction, u1: Fraction, v1: Fraction) -> Tuple[int, 
     a = (r1 * s0 - r0 * s1) * q0 * q1
     b = r0 * p1 * s1 * q0 - r1 * p0 * s0 * q1
     den = s0 * s1 * (p1 * q0 - p0 * q1)
-    g = math.gcd(a, b, den)
+    g = math.gcd(a, b, den) or 1  # 0 only for a repeated pair
     return a // g, b // g, den // g
 
 
 def _normalized(points: Sequence[Breakpoint]) -> PLMap:
-    """The map through ``points`` with the interior breakpoints where the
-    line does not change dropped, so map equality is decidable by comparing
-    breakpoint tuples.  A line in lowest terms is unique, so two segments
-    are collinear exactly when their lines are equal.  Each line is
-    computed once, and the piece table is built from the same lines."""
+    """The map through ``points``, given in nondecreasing input order, with
+    the interior breakpoints where the line does not change dropped, so map
+    equality is decidable by comparing breakpoint tuples.  A line in lowest
+    terms is unique, so two segments are collinear exactly when their lines
+    are equal.  Each line is computed once; its signs check that the inputs
+    and outputs strictly increase (``NonMonotone`` otherwise, at the first
+    segment that fails), and the piece table is built from the same lines."""
     out: List[Breakpoint] = list(points[:1])
     lines: List[Tuple[int, int, int]] = []
     for (u0, v0), (u1, v1) in zip(points, points[1:]):
-        line = _line(u0, v0, u1, v1)
+        a, _, den = line = _line(u0, v0, u1, v1)
+        if den == 0:
+            raise NonMonotone(f"inputs collide at {format_rational(u0)}: outputs {v0} and {v1}")
+        if a <= 0:
+            raise NonMonotone(
+                f"outputs not strictly increasing at input {format_rational(u1)}: {v0} then {v1}"
+            )
         if lines and line == lines[-1]:
             out[-1] = (u1, v1)
         else:
@@ -137,31 +143,17 @@ def _normalized(points: Sequence[Breakpoint]) -> PLMap:
     return PLMap(tuple(out), (C, pieces))
 
 
-def polygon(points: Iterable, domain: Tuple = None) -> PLMap:
+def polygon(points: Iterable) -> PLMap:
     """The increasing polygon through the given (input, output) pairs.
 
     Exact duplicate pairs are collapsed first: they are adjacent once the
-    pairs are sorted.  After deduplication both the inputs and the outputs
-    must be strictly increasing; if a domain is supplied its endpoints
-    must occur among the breakpoint inputs.
+    pairs are sorted.  At least two distinct pairs must remain, and
+    ``_normalized`` checks that their inputs and outputs strictly increase.
     """
     ordered = sorted((_exact(u), _exact(v)) for u, v in points)
     pairs = [pt for pt, prev in zip(ordered, [None] + ordered) if pt != prev]
     if len(pairs) < 2:
         raise NonMonotone(f"a polygon needs at least two distinct points, got {pairs!r}")
-    for (u0, v0), (u1, v1) in zip(pairs, pairs[1:]):
-        if u0 == u1:
-            raise NonMonotone(f"inputs collide at {format_rational(u0)}: outputs {v0} and {v1}")
-        if v0 >= v1:
-            raise NonMonotone(
-                f"outputs not strictly increasing at input {format_rational(u1)}: {v0} then {v1}"
-            )
-    if domain is not None:
-        lo, hi = Fraction(domain[0]), Fraction(domain[1])
-        if pairs[0][0] != lo or pairs[-1][0] != hi:
-            raise BadEndpoints(
-                f"breakpoints span [{pairs[0][0]}, {pairs[-1][0]}], expected [{lo}, {hi}]"
-            )
     return _normalized(pairs)
 
 
@@ -260,7 +252,10 @@ def tau_polygon(b: BaryPoint, c: BaryPoint, alpha, beta) -> PLMap:
     The tests and breakpoints run on integer numerators: with b = B/Db,
     α = pa/qa and k = n+1, b_j <= α reads qa*B_j <= pa*Db and the input
     breakpoint is k*(pa*Db - qa*B_j) / (qa*(Db - k*B_j)); likewise for c
-    and β.
+    and β.  As α, β < 1/k, the input strictly decreases in B_j and the
+    output in C_j, so the distinct pairs (B_j, C_j) with b_j < α, sorted
+    descending, give the inner breakpoints in ascending order; b_j = α
+    forces c_j = β and gives the anchor (0, 0).  ``_normalized`` checks order.
     """
     if len(b) != len(c):
         raise ValueError("boundary point and image have different dimensions")
@@ -279,13 +274,17 @@ def tau_polygon(b: BaryPoint, c: BaryPoint, alpha, beta) -> PLMap:
                 f"component {format_rational(b[j])} of b sits on level {alpha} "
                 f"but its image {format_rational(c[j])} misses level {beta}"
             )
-    pairs = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
+    below = set()
     for j, (bj, cj) in enumerate(zip(B, Cn)):
-        if qa * bj <= level_b:
+        if qa * bj < level_b:
             if k * cj >= Dc:
                 raise NonMonotone(f"image component {format_rational(c[j])} should be below 1/{k}")
-            pairs.append((
-                Fraction(k * (level_b - qa * bj), qa * (Db - k * bj)),
-                Fraction(k * (level_c - qb * cj), qb * (Dc - k * cj)),
-            ))
-    return polygon(pairs, domain=(0, 1))
+            below.add((bj, cj))
+    points = [(Fraction(0), Fraction(0))]
+    for bj, cj in sorted(below, reverse=True):
+        points.append((
+            Fraction(k * (level_b - qa * bj), qa * (Db - k * bj)),
+            Fraction(k * (level_c - qb * cj), qb * (Dc - k * cj)),
+        ))
+    points.append((Fraction(1), Fraction(1)))
+    return _normalized(points)

@@ -370,6 +370,17 @@ def test_eval_unknown_format_flag_exits_two(capsys):
     assert stdout == ""
 
 
+def test_eval_config_keys_of_required_flags_exit_two(tmp_path, capsys):
+    # The command line always sets a required flag, so a config key for it
+    # could never take effect.
+    config = tmp_path / "run.cfg"
+    for line in ("map=bogus", "point=[1/2,1/2]"):
+        config.write_text(f"{line}\n")
+        code, stdout, stderr = run(capsys, *EVAL_ONE_POINT, "--config", str(config))
+        assert code == 2 and stdout == ""
+        assert f"usage error: unknown config key {line.partition('=')[0]!r}" in stderr
+
+
 def test_eval_unknown_format_in_config_exits_two(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("format=bogus\n")

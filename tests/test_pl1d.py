@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from simplexboundary.comfort import lambda_lift
 from simplexboundary.geometry import BaryPoint
 from simplexboundary.pl1d import (
-    BadEndpoints,
     CrossMismatch,
     NonMonotone,
     OutOfDomain,
     PLMap,
+    _normalized,
     identity_map,
     kappa,
     phi_n0,
@@ -68,7 +68,7 @@ def reference_normalize(points):
     return tuple(out)
 
 
-def reference_polygon(points, domain=None):
+def reference_polygon(points):
     pairs = sorted({(F(u), F(v)) for u, v in points})
     if len(pairs) < 2:
         raise NonMonotone(f"a polygon needs at least two distinct points, got {pairs!r}")
@@ -77,12 +77,6 @@ def reference_polygon(points, domain=None):
             raise NonMonotone(f"inputs collide at {u0}: outputs {v0} and {v1}")
         if v0 >= v1:
             raise NonMonotone(f"outputs not strictly increasing at input {u1}: {v0} then {v1}")
-    if domain is not None:
-        lo, hi = F(domain[0]), F(domain[1])
-        if pairs[0][0] != lo or pairs[-1][0] != hi:
-            raise BadEndpoints(
-                f"breakpoints span [{pairs[0][0]}, {pairs[-1][0]}], expected [{lo}, {hi}]"
-            )
     return reference_normalize(pairs)
 
 
@@ -123,7 +117,9 @@ def reference_tau_polygon(b, c, alpha, beta):
             if cj >= cv:
                 raise NonMonotone(f"image component {cj} should be below 1/{n + 1}")
             pairs.add(((alpha - bj) / (cv - bj), (beta - cj) / (cv - cj)))
-    return reference_polygon(pairs, domain=(0, 1))
+    points = reference_polygon(pairs)
+    assert (points[0][0], points[-1][0]) == (0, 1), "tau must span [0, 1]"
+    return points
 
 
 def assert_piece_table(f):
@@ -223,12 +219,11 @@ def test_polygon_matches_reference(data):
     points += [(F(u, 6), F(v, 6)) for u, v in data.draw(st.lists(st.tuples(grid, grid), max_size=2))]
     points += points[: len(points) // 2]  # exact duplicates
     points = data.draw(st.permutations(points))
-    domain = data.draw(st.sampled_from((None, (0, 1))))
-    got = outcome(polygon, points, domain)
+    got = outcome(polygon, points)
     if isinstance(got, PLMap):
         assert_piece_table(got)
         got = got.points
-    assert got == outcome(reference_polygon, points, domain)
+    assert got == outcome(reference_polygon, points)
 
 
 def test_polygon_duplicates_collapse_and_errors_keep_their_messages():
@@ -242,6 +237,61 @@ def test_polygon_duplicates_collapse_and_errors_keep_their_messages():
     with pytest.raises(NonMonotone, match=r"^a polygon needs at least two distinct points, got "
                                           r"\[\(Fraction\(0, 1\), Fraction\(0, 1\)\)\]$"):
         polygon([(0, 0), (F(0), F(0))])
+
+
+def test_normalized_checks_order_with_the_polygon_messages():
+    # Every map, not only a polygon, is built by ``_normalized``; it checks
+    # the order itself, with the messages ``polygon`` has always given.
+    half, upper = (F(1, 2), F(1, 3)), (F(1, 2), F(2, 3))
+    collide = "inputs collide at 1/2: outputs 1/3 and 2/3"
+    descent = "outputs not strictly increasing at input 1: 2/3 then 1/2"
+    cases = [
+        ([(0, 0), half, upper, (1, 1)], collide),
+        ([(0, 0), upper, (1, F(1, 2))], descent),
+        ([(0, 0), half, (1, F(1, 3))], "outputs not strictly increasing at input 1: 1/3 then 1/3"),
+    ]
+    for points, message in cases:
+        points = [(F(u), F(v)) for u, v in points]
+        assert outcome(_normalized, points) == (NonMonotone, message)
+        assert outcome(polygon, points) == (NonMonotone, message)
+    # A repeated pair, which ``polygon`` collapses first, collides too.
+    repeated = [(F(0), F(0)), half, half, (F(1), F(1))]
+    assert outcome(_normalized, repeated) == (NonMonotone, "inputs collide at 1/2: outputs 1/3 and 1/3")
+
+
+def test_tau_polygon_ties_match_reference():
+    # n = 3, alpha = 1/8, beta = 1/10: hand-picked ties the property test
+    # reaches only by chance.
+    alpha, beta = F(1, 8), F(1, 10)
+    b = BaryPoint([0, F(1, 16), F(1, 16), F(7, 8)])
+    cases = {
+        # Equal coordinates below alpha with equal images collapse: the
+        # anchors, the zero and one breakpoint for both 1/16s.
+        "collapse": (b, BaryPoint([0, F(1, 20), F(1, 20), F(9, 10)]), 4),
+        # The same with different images: the inputs collide.
+        "collide": (b, BaryPoint([0, F(1, 20), F(1, 30), F(11, 12)]), "inputs collide at 1/3: "),
+        # An image coordinate above beta while b_j < alpha: descent from (0, 0).
+        "descent": (
+            BaryPoint([0, F(1, 4), F(1, 4), F(1, 2)]),
+            BaryPoint([F(1, 5), 0, F(2, 5), F(2, 5)]),
+            "outputs not strictly increasing at input 1/2: 0 then -2",
+        ),
+        # A coordinate exactly at alpha collapses into (0, 0).
+        "on level": (
+            BaryPoint([0, F(1, 8), F(1, 16), F(13, 16)]),
+            BaryPoint([0, F(1, 10), F(1, 20), F(17, 20)]),
+            4,
+        ),
+    }
+    for name, (b, c, kind) in cases.items():
+        got = outcome(tau_polygon, b, c, alpha, beta)
+        expected = outcome(reference_tau_polygon, b, c, alpha, beta)
+        if isinstance(kind, int):  # the number of breakpoints
+            assert isinstance(got, PLMap) and len(got.points) == kind, name
+            got = got.points
+        else:  # the start of the message
+            assert got[0] is NonMonotone and got[1].startswith(kind), name
+        assert got == expected, name
 
 
 def test_piece_table_of_kappa():
@@ -262,8 +312,6 @@ def test_polygon_errors():
         polygon([(0, 0), (F(1, 2), F(2, 3)), (1, F(1, 2))])
     with pytest.raises(NonMonotone):
         polygon([(0, 0), (0, F(1, 3)), (1, 1)])
-    with pytest.raises(BadEndpoints):
-        polygon([(F(1, 4), F(1, 4)), (1, 1)], domain=(0, 1))
     with pytest.raises(NonMonotone):
         polygon([(0, 0)])
 
