@@ -75,8 +75,6 @@ from .chain import (
     zero_chain,
 )
 from .homology_point import (
-    ModuleDescription,
-    ScalarMap,
     homology_table,
     point_boundary_map,
     point_homology,

@@ -253,7 +253,9 @@ def _resolve_map(map_id: str) -> Tuple[int, PointMap]:
             alpha = parse_rational(params["alpha"])
         except (KeyError, ValueError) as exc:
             raise UsageError(f"pi_alpha map id needs n and alpha: {map_id!r}") from exc
-        if n < 0 or not 0 <= alpha <= Fraction(1, n + 1):
+        if n < 0:
+            raise UsageError(f"pi_alpha dimension {n} must be nonnegative")
+        if not 0 <= alpha <= Fraction(1, n + 1):
             raise UsageError(f"pi_alpha level {alpha} outside [0, 1/{n + 1}]")
 
         def pi_alpha(x: BaryPoint) -> BaryPoint:

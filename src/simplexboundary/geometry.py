@@ -338,7 +338,8 @@ def sponge_points(
     For dimensions 1 and 2 the set is indexed in product order and, when
     larger than ``cap``, subsampled deterministically; only the sampled
     tuples are built.  For higher dimensions the set is sampled directly
-    by seeded rejection, since the lattice grows combinatorially.
+    by seeded rejection, since the lattice grows combinatorially; there
+    ``cap=None`` would ask for the whole lattice and raises ``ValueError``.
     """
     if n == 0:
         return [BaryPoint((1,))]
@@ -353,11 +354,12 @@ def sponge_points(
         if cap is not None and len(lattice) > cap:
             lattice = rng.sample(lattice, cap)
     else:
+        if cap is None:
+            raise ValueError(f"dimension {n} needs a cap: sampling cannot list the whole lattice")
         lattice = []
-        want = cap if cap is not None else 64
         seen = set()
         attempts = 0
-        while len(lattice) < want and attempts < 200 * want:
+        while len(lattice) < cap and attempts < 200 * cap:
             attempts += 1
             parts = tuple(_composition(rng, denominator, k))
             if len(set(parts)) != k or parts in seen:

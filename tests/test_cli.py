@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +99,8 @@ def test_eval_bad_map_ids(capsys):
     assert code == 2
     code, _, stderr = run(capsys, "eval", "--map", "pi_alpha:n=2,alpha=1/2", "--point", "[1,0,0]")
     assert code == 2
+    code, _, stderr = run(capsys, "eval", "--map", "pi_alpha:n=-1,alpha=0", "--point", "[1]")
+    assert (code, stderr) == (2, "usage error: pi_alpha dimension -1 must be nonnegative\n")
     code, _, stderr = run(capsys, "eval", "--map", "mystery:n=1", "--point", "[1]")
     assert code == 2
 
@@ -135,6 +141,28 @@ def test_bad_flags_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["verify-equations", "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, expected",
+    [
+        (["homology", "--m", "9,4", "--n-max", "2"], 0, "stdout", "0, 0, Z\n1, 0, Z/13\n2, ×13, 0\n"),
+        (["verify-equations", "--n", "1", "--L", "2"], 2, "stderr", "usage error:"),
+        (["verify-equations", "--bogus"], 2, "stderr", "unrecognized arguments: --bogus"),
+    ],
+    ids=["homology", "usage-error", "unknown-flag"],
+)
+def test_entry_point_exit_codes(argv, code, stream, expected):
+    # The real entry point: sys.exit(main()) and argparse's own exit path.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "simplexboundary.cli", *argv],
+        capture_output=True, encoding="utf-8", env=env, timeout=60,
+    )
+    assert proc.returncode == code
+    assert expected in getattr(proc, stream)
+    assert "Traceback" not in proc.stderr
 
 
 def test_unsupported_family_exits_two(capsys):

@@ -438,6 +438,15 @@ def test_sponge_points_are_sponge():
             assert all(60 % c.denominator == 0 for c in x)
 
 
+def test_sponge_points_without_cap_above_dimension_two_is_an_error():
+    # Sampling cannot list the whole lattice; a silent default cap would
+    # return fewer points than a large explicit one (64 against 216 here).
+    with pytest.raises(ValueError, match="needs a cap"):
+        sponge_points(3, 12, cap=None)
+    # In dimensions 1 and 2 the lattice is indexed, so no cap lists all of it.
+    assert len(sponge_points(2, 12, cap=None)) == len(sponge_points(2, 12, cap=1000))
+
+
 def reference_sponge_lattice(n, denominator):
     """A point for every lattice point with distinct coordinates, in the
     order the enumerate-then-sample grid (dimensions 1 and 2) kept them."""

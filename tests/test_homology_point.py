@@ -1,9 +1,8 @@
 import pytest
 
+from simplexboundary import homology_point
 from simplexboundary.chain import CoefficientTuple, boundary, chain_of_term, point_term
 from simplexboundary.homology_point import (
-    ModuleDescription,
-    ScalarMap,
     homology_table,
     point_boundary_map,
     point_homology,
@@ -19,28 +18,44 @@ def test_sigma_examples():
 
 def test_point_boundary_map_examples():
     m = CoefficientTuple([9, 4])
-    assert point_boundary_map(0, m).is_zero_map
-    assert point_boundary_map(2, m) == ScalarMap(13)
-    assert point_boundary_map(3, m).is_zero_map
-    assert point_boundary_map(3, CoefficientTuple([1, 1])).is_zero_map
+    assert point_boundary_map(0, m) == 0
+    assert point_boundary_map(2, m) == 13
+    assert point_boundary_map(3, m) == 0
+    assert point_boundary_map(3, CoefficientTuple([1, 1])) == 0
     with pytest.raises(ValueError):
         point_boundary_map(-1, m)
 
 
-def test_module_description_normalization():
-    assert ModuleDescription.cyclic(1) == ModuleDescription.zero()
-    assert ModuleDescription.cyclic(0) == ModuleDescription.free()
-    assert ModuleDescription.cyclic(-2) == ModuleDescription.cyclic(2)
-    assert str(ModuleDescription.cyclic(13)) == "Z/13"
-    assert str(ModuleDescription.free()) == "Z"
-    assert str(ModuleDescription.zero()) == "0"
+def test_cyclic_modules_are_normalized():
+    # Z/q is written Z for q = 0, 0 for q = ±1 and Z/|q| otherwise.
+    assert point_homology(1, CoefficientTuple([1, -1])) == "Z"  # Z/0
+    assert point_homology(1, CoefficientTuple([1])) == "0"  # Z/1
+    assert point_homology(1, CoefficientTuple([-1])) == "0"  # Z/-1
+    assert point_homology(1, CoefficientTuple([-2])) == "Z/2"  # Z/-2
+    assert point_homology(1, CoefficientTuple([9, 4])) == "Z/13"
+    assert [hn for _, _, hn in homology_table(CoefficientTuple([3, -5]), 2)] == ["Z", "Z/2", "0"]
 
 
 def test_point_homology_examples():
-    assert point_homology(1, CoefficientTuple([9, 4])) == ModuleDescription.cyclic(13)
-    assert point_homology(2, CoefficientTuple([1])) == ModuleDescription.zero()
-    assert point_homology(5, CoefficientTuple([1, -1])) == ModuleDescription.free()
-    assert point_homology(0, CoefficientTuple([9, 4])) == ModuleDescription.free()
+    assert point_homology(1, CoefficientTuple([9, 4])) == "Z/13"
+    assert point_homology(2, CoefficientTuple([1])) == "0"
+    assert point_homology(5, CoefficientTuple([1, -1])) == "Z"
+    assert point_homology(0, CoefficientTuple([9, 4])) == "Z"
+
+
+def test_closed_form_is_checked_against_the_chain_complex(monkeypatch):
+    # A wrong factor from the chain complex in one degree must not pass.
+    m = CoefficientTuple([9, 4])
+    real = homology_point.point_boundary_map
+
+    def wrong_in_degree_4(n, m):
+        return 7 if n == 4 else real(n, m)
+
+    monkeypatch.setattr(homology_point, "point_boundary_map", wrong_in_degree_4)
+    assert point_homology(2, m) == "0"  # reads the factors of degrees 2 and 3
+    message = "^symbolic homology Z/13 disagrees with kernel/image Z/7 in degree 3$"
+    with pytest.raises(AssertionError, match=message):
+        point_homology(3, m)
 
 
 def test_consecutive_boundary_maps_compose_to_zero():
@@ -49,7 +64,7 @@ def test_consecutive_boundary_maps_compose_to_zero():
         for n in range(21):
             a = point_boundary_map(n, m)
             b = point_boundary_map(n + 1, m)
-            assert a.factor * b.factor == 0
+            assert a * b == 0
 
 
 def test_homology_agrees_with_kernel_image_for_various_sums():
@@ -67,7 +82,7 @@ def test_chain_boundary_reproduces_scalar_maps():
         m = CoefficientTuple(entries)
         for n in range(9):
             closed_form = 0 if n == 0 or n % 2 else sigma(m)
-            assert point_boundary_map(n, m) == ScalarMap(closed_form)
+            assert point_boundary_map(n, m) == closed_form
             d = boundary(chain_of_term(point_term(n)), m)
             assert d.terms == (((point_term(n - 1), closed_form),) if closed_form else ())
 

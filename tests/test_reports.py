@@ -45,6 +45,14 @@ REPORTS = {
         "9a91e9d1227b2b0a56a5435665256c542b8fe672098141f454676a002544cd14",
     ("homology", "--m", "1,-1"):
         "3d156fee46fc84ae3953d703902c7b0db3a84bacc3770f84ed74712752826382",
+    # The report holds only the rows, so equal rows give equal digests:
+    # σ = -2 for both (-2) and (3,-5), and σ = 0 for (0) as for (1,-1).
+    ("homology", "--m", "-2", "--n-max", "8"):
+        "feb4d8a31f8d42793866bfd731e01cd1c214368025e6626c36da82d25f0ad98b",
+    ("homology", "--m", "0", "--n-max", "8"):
+        "3d156fee46fc84ae3953d703902c7b0db3a84bacc3770f84ed74712752826382",
+    ("homology", "--m", "3,-5", "--n-max", "8"):
+        "feb4d8a31f8d42793866bfd731e01cd1c214368025e6626c36da82d25f0ad98b",
     ("figure", "--m", "9,4", "--alpha", "1/6", "--format", "svg"):
         "aa52362804bc94a3d29f86edd2e6661d032948cd53b309ddf31406e73f7e7c27",
     (
