@@ -74,29 +74,23 @@ def _read_config(path: str) -> dict:
     return values
 
 
-_CONFIG_INT_KEYS = {"n", "n_max", "L", "grid_denominator", "seed"}
-_NOT_CONFIG_KEYS = {"func", "command", "config", "map", "point"}  # bookkeeping, required flags
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    config = _read_config(args.config)
+def _settle_flags(args: argparse.Namespace, defaults: dict) -> None:
+    """Give every optional flag of the command its value: the command line
+    first, then the --config file, then ``defaults``.  A config key names
+    an optional flag of the command and is parsed with that flag's type."""
+    config = _read_config(args.config) if args.config else {}
     for key, raw in config.items():
-        if key in _NOT_CONFIG_KEYS or not hasattr(args, key):
+        if key not in defaults:
             raise UsageError(f"unknown config key {key!r}")
         if getattr(args, key) is not None:  # flags win over the config file
             continue
         try:
-            setattr(args, key, int(raw) if key in _CONFIG_INT_KEYS else raw)
+            setattr(args, key, _FLAGS[key][0](raw))
         except ValueError as exc:
             raise UsageError(f"config key {key!r}: {exc}") from exc
-
-
-def _fill_defaults(args: argparse.Namespace, **defaults) -> None:
-    for key, val in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, val)
+    for key, default in defaults.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
 
 
 def _write_or_print(text: str, out: Optional[str]) -> None:
@@ -124,6 +118,19 @@ def _check_writable(out: Optional[str]) -> None:
             os.remove(out)
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc}") from exc
+
+
+def _report(check: str, parameters: dict, origin: dict, key: str, results: list, out: Optional[str]) -> int:
+    """Write the JSON report of a verify command to ``out`` (if given),
+    print its summary line, and return the exit code: 0 when every result
+    passes, else 1.  ``key`` names the list of results in the report."""
+    all_pass = all(r.verdict for r in results)
+    if out:
+        report = {"check": check, "parameters": parameters, "grid": origin,
+                  "verdict": "pass" if all_pass else "fail", key: [r.to_json() for r in results]}
+        _write_or_print(json.dumps(report, sort_keys=True, indent=2), out)
+    print(f"{check}: {len(results)} {key}, verdict {'pass' if all_pass else 'FAIL'}")
+    return 0 if all_pass else 1
 
 
 def _grids(args, dims) -> Tuple[dict, List[List[BaryPoint]]]:
@@ -162,8 +169,6 @@ def _check_levels(args, L: int, theta_dim: int) -> None:
 
 
 def cmd_verify_equations(args) -> int:
-    _apply_config(args)
-    _fill_defaults(args, n=1, L=1, grid_denominator=DEFAULT_DENOMINATOR, seed=DEFAULT_SEED)
     _check_family(args.L)
     if args.n_max is None:
         args.n_max = args.n
@@ -179,23 +184,11 @@ def cmd_verify_equations(args) -> int:
                 f"equation n={n} j={res.j} p={res.p} i={res.i} k={res.k}: "
                 f"{'pass' if res.verdict else 'FAIL'} ({res.points_checked} points)"
             )
-    all_pass = all(r.verdict for r in instances)
-    report = {
-        "check": "equations",
-        "parameters": {"n": args.n, "n_max": args.n_max, "L": args.L},
-        "grid": origin,
-        "verdict": "pass" if all_pass else "fail",
-        "instances": [r.to_json() for r in instances],
-    }
-    if args.out:
-        _write_or_print(json.dumps(report, sort_keys=True, indent=2), args.out)
-    print(f"equations: {len(instances)} instances, verdict {'pass' if all_pass else 'FAIL'}")
-    return 0 if all_pass else 1
+    parameters = {"n": args.n, "n_max": args.n_max, "L": args.L}
+    return _report("equations", parameters, origin, "instances", instances, args.out)
 
 
 def cmd_verify_boundary(args) -> int:
-    _apply_config(args)
-    _fill_defaults(args, n=2, L=None, m="1,1", grid_denominator=DEFAULT_DENOMINATOR, seed=DEFAULT_SEED)
     if args.n_max is None:
         args.n_max = args.n
     m = _parse_m(args.m)
@@ -216,18 +209,12 @@ def cmd_verify_boundary(args) -> int:
             f"{'pass' if res.verdict else 'FAIL'} "
             f"({res.summands_total} summands, {res.pairs_checked} pairs)"
         )
-    all_pass = all(r.verdict for r in runs)
-    report = {
-        "check": "boundary-squared",
-        "parameters": {"n": args.n, "n_max": args.n_max, "m": list(m)},
-        "grid": origin,
-        "verdict": "pass" if all_pass else "fail",
-        "runs": [r.to_json() for r in runs],
-    }
-    if args.out:
-        _write_or_print(json.dumps(report, sort_keys=True, indent=2), args.out)
-    print(f"boundary-squared: {len(runs)} runs, verdict {'pass' if all_pass else 'FAIL'}")
-    return 0 if all_pass else 1
+    parameters = {"n": args.n, "n_max": args.n_max, "m": list(m)}
+    return _report("boundary-squared", parameters, origin, "runs", runs, args.out)
+
+
+#: The parameters each map id takes.
+_MAP_PARAMS = {"theta": ("L", "n", "i"), "pi_alpha": ("n", "alpha"), "counterexample": ()}
 
 
 def _resolve_map(map_id: str) -> Tuple[int, PointMap]:
@@ -239,7 +226,14 @@ def _resolve_map(map_id: str) -> Tuple[int, PointMap]:
             if "=" not in part:
                 raise UsageError(f"bad map parameter {part!r} in {map_id!r}")
             key, _, val = part.partition("=")
+            if key.strip() in params:
+                raise UsageError(f"repeated map parameter {key.strip()!r} in {map_id!r}")
             params[key.strip()] = val.strip()
+    if head not in _MAP_PARAMS:
+        raise UsageError(f"unknown map id {map_id!r}")
+    for key in params:
+        if key not in _MAP_PARAMS[head]:
+            raise UsageError(f"unknown map parameter {key!r} in {map_id!r}")
     if head == "theta":
         try:
             homeo = theta(ThetaKey(int(params["L"]), int(params["n"]), int(params["i"])))
@@ -266,15 +260,12 @@ def _resolve_map(map_id: str) -> Tuple[int, PointMap]:
                 raise UsageError(str(exc)) from exc
 
         return n, pi_alpha
-    elif head == "counterexample":
-        homeo = counterexample_map()
     else:
-        raise UsageError(f"unknown map id {map_id!r}")
+        homeo = counterexample_map()
     return homeo.dim, homeo
 
 
 def cmd_eval(args) -> int:
-    _apply_config(args)
     if args.format not in (None, "csv"):
         raise UsageError(f"eval format must be csv, got {args.format!r}")
     dim, fn = _resolve_map(args.map)
@@ -364,8 +355,6 @@ def _figure_svg(segments) -> str:
 
 
 def cmd_figure(args) -> int:
-    _apply_config(args)
-    _fill_defaults(args, format="csv")
     if args.n is not None and args.n != 2:
         raise UsageError("figure export is planar and needs dimension 2")
     m = _parse_m(args.m) if args.m else None
@@ -390,8 +379,6 @@ def cmd_figure(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    _apply_config(args)
-    _fill_defaults(args, m="1", n_max=8)
     m = _parse_m(args.m)
     _check_family(m.L)
     if args.n_max < 0:
@@ -406,22 +393,36 @@ def cmd_homology(args) -> int:
 # Parser
 
 
-def _add_common(sub, *flags):
-    if "n" in flags:
-        sub.add_argument("--n", type=int, default=None, help="first (or only) level / dimension")
-    if "n_max" in flags:
-        sub.add_argument("--n-max", dest="n_max", type=int, default=None, help="last level / dimension")
-    if "L" in flags:
-        sub.add_argument("--L", type=int, default=None, help="number of parallel faces minus one")
-    if "m" in flags:
-        sub.add_argument("--m", default=None, help='coefficient tuple, e.g. "9,4"')
-    if "grid" in flags:
-        sub.add_argument("--grid-denominator", dest="grid_denominator", type=int, default=None)
-        sub.add_argument("--seed", type=int, default=None)
-    if "format" in flags:
-        sub.add_argument("--format", default=None, help="csv (default) or svg")
-    sub.add_argument("--out", default=None, help="write the report/figure to this path")
-    sub.add_argument("--config", default=None, help="key=value file mirroring the flags; flags win")
+#: Every optional flag once: its type and help.
+_FLAGS = {
+    "n": (int, "first (or only) level / dimension"),
+    "n_max": (int, "last level / dimension"),
+    "L": (int, "number of parallel faces minus one"),
+    "m": (str, 'coefficient tuple, e.g. "9,4"'),
+    "grid_denominator": (int, "denominator of the grid points"),
+    "seed": (int, "seed of the random grid points"),
+    "alpha": (str, "also draw the three chords of this cross level"),
+    "format": (str, "figure: csv (default) or svg; eval: csv forces transcript output"),
+    "out": (str, "write the report/figure to this path"),
+}
+
+#: Every command once: its function, help, description, and its optional
+#: flags in parser order with their defaults.  ``None`` leaves the value to
+#: the command (``n_max`` falls back to ``n``).  Read-only: ``main`` may run
+#: many times in one process.  ``_GRID`` holds the defaults that both verify
+#: commands share.
+_GRID = {"grid_denominator": DEFAULT_DENOMINATOR, "seed": DEFAULT_SEED, "out": None}
+_COMMANDS = {
+    "verify-equations": (cmd_verify_equations, "run the commutation identity suite", None,
+                         {"n": 1, "n_max": None, "L": 1, **_GRID}),
+    "verify-boundary": (cmd_verify_boundary, "run the double-boundary cancellation certificate",
+                        "--n/--n-max give the dimension of the identity chain the operator is squared on.",
+                        {"n": 2, "n_max": None, "L": None, "m": "1,1", **_GRID}),
+    "eval": (cmd_eval, "evaluate a named map at one or more points", None, {"format": None, "out": None}),
+    "figure": (cmd_figure, "export the planar boundary figure (dimension 2)", None,
+               {"alpha": None, "n": None, "m": None, "format": "csv", "out": None}),
+    "homology": (cmd_homology, "print the point homology table", None, {"n_max": 8, "m": "1", "out": None}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,43 +431,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of the generalized simplicial boundary operator.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("verify-equations", help="run the commutation identity suite")
-    _add_common(p, "n", "n_max", "L", "grid")
-    p.set_defaults(func=cmd_verify_equations)
-
-    p = subs.add_parser("verify-boundary", help="run the double-boundary cancellation certificate")
-    p.description = "--n/--n-max give the dimension of the identity chain the operator is squared on."
-    _add_common(p, "n", "n_max", "L", "m", "grid")
-    p.set_defaults(func=cmd_verify_boundary)
-
-    p = subs.add_parser("eval", help="evaluate a named map at one or more points")
-    p.add_argument("--map", required=True, help='map id, e.g. "theta:L=1,n=2,i=1" or "pi_alpha:n=2,alpha=1/6"')
-    p.add_argument(
-        "--point", required=True, action="append",
-        help='rational tuple, e.g. "[1/4,3/4]"; repeat for a CSV transcript',
-    )
-    p.add_argument("--format", default=None, help="csv forces transcript output")
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_eval)
-
-    p = subs.add_parser("figure", help="export the planar boundary figure (dimension 2)")
-    p.add_argument("--alpha", default=None, help="also draw the three chords of this cross level")
-    _add_common(p, "n", "m", "format")
-    p.set_defaults(func=cmd_figure)
-
-    p = subs.add_parser("homology", help="print the point homology table")
-    _add_common(p, "n_max", "m")
-    p.set_defaults(func=cmd_homology)
-
+    for name, (func, help_text, description, defaults) in _COMMANDS.items():
+        p = subs.add_parser(name, help=help_text, description=description)
+        if name == "eval":
+            p.add_argument("--map", required=True, help='map id, e.g. "theta:L=1,n=2,i=1" or "pi_alpha:n=2,alpha=1/6"')
+            p.add_argument(
+                "--point", required=True, action="append",
+                help='rational tuple, e.g. "[1/4,3/4]"; repeat for a CSV transcript',
+            )
+        for flag in defaults:
+            kind, flag_help = _FLAGS[flag]
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag, type=kind, default=None, help=flag_help)
+        p.add_argument("--config", default=None, help="key=value file setting optional flags; flags win")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, _, _, defaults = _COMMANDS[args.command]
     try:
+        _settle_flags(args, defaults)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

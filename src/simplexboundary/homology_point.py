@@ -71,9 +71,15 @@ def point_homology(n: int, m: CoefficientTuple) -> str:
 
 
 def homology_table(m: CoefficientTuple, n_max: int) -> List[Tuple[int, str, str]]:
-    """Rows (n, boundary, H_n) for degrees 0..n_max; a factor f reads 0 or ×f."""
-    factors = [point_boundary_map(n, m) for n in range(n_max + 1)]
-    return [
-        (n, f"×{f}" if f else "0", point_homology(n, m))
-        for n, f in enumerate(factors)
-    ]
+    """Rows (n, boundary, H_n) for degrees 0..n_max; a factor f reads 0 or ×f.
+
+    Every printed factor is checked against the closed form, σ in positive
+    even degrees and 0 otherwise, since H_n cannot see the factor's sign."""
+    rows = []
+    for n in range(n_max + 1):
+        f = point_boundary_map(n, m)
+        closed_form = sigma(m) if n > 0 and n % 2 == 0 else 0
+        if f != closed_form:
+            raise AssertionError(f"boundary factor {f} in degree {n} disagrees with the closed form {closed_form}")
+        rows.append((n, f"×{f}" if f else "0", point_homology(n, m)))
+    return rows

@@ -103,6 +103,15 @@ def test_eval_bad_map_ids(capsys):
     assert (code, stderr) == (2, "usage error: pi_alpha dimension -1 must be nonnegative\n")
     code, _, stderr = run(capsys, "eval", "--map", "mystery:n=1", "--point", "[1]")
     assert code == 2
+    for map_id, point, message in (
+        ("theta:L=1,n=1,i=1,foo=2", "[1/4,3/4]", "unknown map parameter 'foo'"),
+        ("pi_alpha:n=1,alpha=1/4,beta=3", "[1/4,3/4]", "unknown map parameter 'beta'"),
+        ("counterexample:x=1", "[0,1/8,7/8]", "unknown map parameter 'x'"),
+        ("theta:L=1,n=1,i=1,n=2", "[1/4,3/4]", "repeated map parameter 'n'"),
+    ):
+        code, stdout, stderr = run(capsys, "eval", "--map", map_id, "--point", point)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"usage error: {message} in {map_id!r}\n"
 
 
 def test_eval_dimension_violation(capsys):
@@ -437,3 +446,65 @@ def test_verify_boundary_nonpositive_grid_denominator_exits_two(capsys):
     assert code == 2
     assert "usage error: --grid-denominator -5 must be at least 1" in stderr
     assert stdout == ""
+
+
+#: One optional flag per case: the command, its required or content flags,
+#: the flag, a value, and another value for the config file that the flag
+#: must override (some of them would be usage errors on their own).
+CONFIG_PARITY = [
+    ("verify-equations", (), "n", "2", "1"),
+    ("verify-equations", (), "n-max", "2", "1"),
+    ("verify-equations", (), "L", "0", "2"),
+    ("verify-equations", ("--n", "2"), "grid-denominator", "30", "0"),
+    ("verify-equations", ("--n", "2"), "seed", "5", "6"),
+    ("verify-boundary", (), "n", "3", "1"),
+    ("verify-boundary", (), "n-max", "3", "1"),
+    ("verify-boundary", (), "L", "1", "0"),
+    ("verify-boundary", (), "m", "9,4", "1,1,1"),
+    ("verify-boundary", (), "grid-denominator", "30", "1"),
+    ("verify-boundary", (), "seed", "5", "6"),
+    ("verify-boundary", (), "out", None, None),
+    ("verify-equations", (), "out", None, None),
+    ("eval", EVAL_ONE_POINT[1:], "format", "csv", "bogus"),
+    ("eval", EVAL_ONE_POINT[1:], "out", None, None),
+    ("figure", ("--m", "9,4"), "n", "2", "3"),
+    ("figure", ("--m", "9,4"), "alpha", "1/6", "2"),
+    ("figure", ("--alpha", "1/6"), "m", "9,4", "x"),
+    ("figure", ("--m", "9,4"), "format", "svg", "png"),
+    ("figure", ("--m", "9,4"), "out", None, None),
+    ("homology", (), "n-max", "3", "-1"),
+    ("homology", (), "m", "9,4", "1,1,1"),
+    ("homology", ("--m", "9,4"), "out", None, None),
+]
+
+
+@pytest.mark.parametrize(
+    "command, required, flag, value, other", CONFIG_PARITY,
+    ids=[f"{case[0]} --{case[2]}" for case in CONFIG_PARITY],
+)
+def test_config_sets_every_optional_flag(command, required, flag, value, other, tmp_path, capsys):
+    # A config key gives what the flag gives, and an explicit flag wins.
+    report, config = tmp_path / "report", tmp_path / "run.cfg"
+    if flag == "out":
+        value, other = str(report), str(tmp_path / "other")
+
+    def outcome(flags, config_text):
+        report.unlink(missing_ok=True)
+        config.write_text(config_text)
+        argv = [command, *required, *flags, "--config", str(config)]
+        if flag != "out":
+            argv += ["--out", str(report)]
+        code, stdout, _ = run(capsys, *argv)
+        return code, stdout, report.read_bytes() if report.exists() else None
+
+    by_flag = outcome([f"--{flag}", value], "")
+    assert by_flag[0] == 0 and by_flag[2]
+    assert outcome([], f"{flag}={value}\n") == by_flag
+    assert outcome([f"--{flag}", value], f"{flag}={other}\n") == by_flag
+    assert not (tmp_path / "other").exists()
+
+
+def test_verify_boundary_l_contradicting_m_exits_two(capsys):
+    code, stdout, stderr = run(capsys, "verify-boundary", "--m", "9,4", "--L", "0")
+    assert (code, stdout) == (2, "")
+    assert stderr == "usage error: --L 0 contradicts the coefficient tuple of length 2\n"

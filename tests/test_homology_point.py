@@ -100,3 +100,18 @@ def test_homology_table():
     assert [hn for _, _, hn in rows] == ["Z", "Z", "Z", "Z"]
     rows = homology_table(CoefficientTuple([1]), 3)
     assert [hn for _, _, hn in rows] == ["Z", "0", "0", "0"]
+
+
+def test_table_checks_every_printed_factor(monkeypatch):
+    # Z/13 and Z/-13 print alike, so only a check of the factor itself
+    # sees a boundary map of the wrong sign.
+    m = CoefficientTuple([9, 4])
+    real = homology_point.point_boundary_map
+
+    def negated_in_degree_2(n, m):
+        return -13 if n == 2 else real(n, m)
+
+    monkeypatch.setattr(homology_point, "point_boundary_map", negated_in_degree_2)
+    message = "^boundary factor -13 in degree 2 disagrees with the closed form 13$"
+    with pytest.raises(AssertionError, match=message):
+        homology_table(m, 4)

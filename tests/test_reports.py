@@ -12,8 +12,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from simplexboundary import chain
 from simplexboundary.cli import main
 from simplexboundary.comfort import (
+    SimplexHomeo,
     counterexample_map,
     extend_from_boundary,
     extend_from_layer,
@@ -71,6 +73,31 @@ def test_report_bytes(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == 0
     data = out.read_bytes() + capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == REPORTS[argv]
+
+
+#: Reports of runs in which Θ(1,1,1) swaps the two coordinates, so some
+#: instances fail with witnesses; recorded before both verify commands
+#: shared one report writer.
+FAILING_REPORTS = {
+    ("verify-equations", "--L", "1", "--n", "1", "--n-max", "2"):
+        "f82e62d9f6677df8120725bc0c546bb36432e0f299a0a1d945cf319b918693b1",
+    ("verify-boundary", "--m", "9,4", "--n", "2", "--n-max", "4"):
+        "032c5b1faa8fd243baf2d51668534a02c03a0689253bb630212b4a3f58d2893c",
+}
+
+
+@pytest.mark.parametrize("argv", list(FAILING_REPORTS), ids=lambda argv: " ".join(argv))
+def test_failing_report_bytes(argv, tmp_path, capsys, monkeypatch):
+    def swap(x):
+        return BaryPoint([x[1], x[0]])
+
+    swapped = SimplexHomeo(1, swap, swap, label="swap")
+    real = chain.theta
+    monkeypatch.setattr(chain, "theta", lambda key: swapped if key == ThetaKey(1, 1, 1) else real(key))
+    out = tmp_path / "report"
+    assert main([*argv, "--out", str(out)]) == 1
+    data = out.read_bytes() + capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == FAILING_REPORTS[argv]
 
 
 # ---------------------------------------------------------------------------
