@@ -62,8 +62,6 @@ from .theta import (
 from .chain import (
     Chain,
     CoefficientTuple,
-    INTEGERS,
-    RingSpec,
     SingularTerm,
     boundary,
     chain_of_term,
@@ -71,8 +69,6 @@ from .chain import (
     check_equation,
     equation_instances,
     identity_term,
-    point_term,
-    zero_chain,
 )
 from .homology_point import (
     homology_table,

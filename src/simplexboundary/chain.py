@@ -1,12 +1,15 @@
 """Formal chains, the weighted boundary operator, and its certificates.
 
-Chains are finite linear combinations of singular terms over the
-integers or the integers mod m.  A singular term is a base map (the
-identity of a standard simplex, or the unique map to a one-point space)
-together with an ordered list of precomposed face maps; each face is
-"Θ, then insert": the Θ map of its layer, then the insertion of the
-internal face parallel to its slot.  The boundary operator appends one
-face per summand.
+Chains are finite integer combinations of singular terms.  A singular
+term is the identity of a standard simplex together with an ordered list
+of precomposed face maps; each face is "Θ, then insert": the Θ map of its
+layer, then the insertion of the internal face parallel to its slot.  The
+boundary operator appends one face per summand.  It acts by
+precomposition, so it commutes with composing on the left: pushed forward
+along a map, the boundary of a chain is the boundary of the pushed
+chain.  Pushed to the one-point space, where every term becomes the one
+simplex of its dimension, a chain becomes its coefficient sum times that
+simplex; ``homology_point`` reads the point complex that way.
 
 One generator expands a term into the summands of its boundary and
 another, nesting it, into those of its double boundary; the operator
@@ -42,24 +45,7 @@ from .theta import FaceMap, ThetaKey, UnsupportedL, face_insert, theta
 
 
 # ---------------------------------------------------------------------------
-# Rings and coefficient tuples
-
-
-@dataclass(frozen=True)
-class RingSpec:
-    """The integers (modulus None) or the integers modulo m."""
-
-    modulus: Optional[int] = None
-
-    def __post_init__(self):
-        if self.modulus is not None and self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-
-    def norm(self, a: int) -> int:
-        return a if self.modulus is None else a % self.modulus
-
-
-INTEGERS = RingSpec()
+# Coefficient tuples
 
 
 class CoefficientTuple(tuple):
@@ -80,9 +66,6 @@ class CoefficientTuple(tuple):
 # Singular terms
 
 
-#: Returned by evaluation of point terms.
-POINT_VALUE = object()
-
 #: A memo of Θ values, keyed by (map object, exact point).
 ThetaValues = Dict[Tuple[SimplexHomeo, BaryPoint], BaryPoint]
 
@@ -92,18 +75,14 @@ class SingularTerm:
     """A basis element: a base map precomposed with a list of faces.
 
     The base is the identity of the simplex of the outermost face (of
-    ``domain_dim`` when there is none) or, with ``to_point``, the map to
-    the one-point space.  A face ``fm`` stands for
+    ``domain_dim`` when there is none).  A face ``fm`` stands for
     ``face_insert(fm, ·) ∘ Θ(fm.L, fm.n-1, fm.i)``: Θ, then insert.
     ``faces[0]`` is outermost; evaluation applies the list from the
     right, and each face's domain must be the next inner face's simplex.
-    Point terms are canonicalized to empty lists, so all maps into the
-    point of equal domain dimension coincide.
     """
 
     faces: Tuple[FaceMap, ...]
     domain_dim: int
-    to_point: bool = False
 
     def __post_init__(self):
         d = self.domain_dim
@@ -123,11 +102,6 @@ class SingularTerm:
             steps.append((theta(key), fm, not key.is_identity))
         return tuple(steps)
 
-    def canonical(self) -> "SingularTerm":
-        if self.to_point and self.faces:
-            return point_term(self.domain_dim)
-        return self
-
     def evaluate(self, x: BaryPoint, values: Optional[ThetaValues] = None):
         """The term's value at ``x``.
 
@@ -139,8 +113,6 @@ class SingularTerm:
         """
         if x.dim != self.domain_dim:
             raise ValueError(f"term expects dimension {self.domain_dim}, got {x.dim}")
-        if self.to_point:
-            return POINT_VALUE
         if values is None:
             values = {}
         for homeo, fm, memoized in self.steps:
@@ -157,19 +129,12 @@ class SingularTerm:
         inner = "∘".join(
             f"ins({fm.L},{fm.n},{fm.i},{fm.j})∘th({fm.L},{fm.n - 1},{fm.i})" for fm in self.faces
         )
-        if self.to_point:
-            target = "pt"
-        else:
-            target = f"simplex{self.faces[0].n if self.faces else self.domain_dim}"
-        return f"{target}←{inner or 'id'}"
+        target = self.faces[0].n if self.faces else self.domain_dim
+        return f"simplex{target}←{inner or 'id'}"
 
 
 def identity_term(n: int) -> SingularTerm:
     return SingularTerm((), n)
-
-
-def point_term(n: int) -> SingularTerm:
-    return SingularTerm((), n, to_point=True)
 
 
 # ---------------------------------------------------------------------------
@@ -178,42 +143,26 @@ def point_term(n: int) -> SingularTerm:
 
 @dataclass(frozen=True)
 class Chain:
-    """Finite formal sum of equal-dimension terms with ring coefficients."""
+    """Finite formal sum of equal-dimension terms with integer coefficients."""
 
-    ring: RingSpec
     dim: int
     terms: Tuple[Tuple[SingularTerm, int], ...]
 
     @staticmethod
-    def make(ring: RingSpec, dim: int, entries: Dict[SingularTerm, int]) -> "Chain":
-        merged: Dict[SingularTerm, int] = {}
-        for term, coeff in entries.items():
+    def make(dim: int, entries: Dict[SingularTerm, int]) -> "Chain":
+        for term in entries:
             if term.domain_dim != dim:
                 raise ValueError(f"term of dimension {term.domain_dim} in a chain of dimension {dim}")
-            key = term.canonical()
-            merged[key] = merged.get(key, 0) + coeff
-        normed = ((t, ring.norm(c)) for t, c in merged.items())
-        kept = tuple(sorted(((t, c) for t, c in normed if c), key=lambda tc: tc[0].describe()))
-        return Chain(ring, dim, kept)
+        kept = tuple(sorted(((t, c) for t, c in entries.items() if c), key=lambda tc: tc[0].describe()))
+        return Chain(dim, kept)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, term: SingularTerm) -> int:
-        want = term.canonical()
-        for t, c in self.terms:
-            if t == want:
-                return c
-        return 0
 
-
-def zero_chain(ring: RingSpec, dim: int) -> Chain:
-    return Chain(ring, dim, ())
-
-
-def chain_of_term(term: SingularTerm, ring: RingSpec = INTEGERS, coeff: int = 1) -> Chain:
-    return Chain.make(ring, term.domain_dim, {term: coeff})
+def chain_of_term(term: SingularTerm) -> Chain:
+    return Chain.make(term.domain_dim, {term: 1})
 
 
 def _face_summands(
@@ -222,15 +171,14 @@ def _face_summands(
     """The (n+1)(L+1) summands ((j, i), weight, term') of ∂term.
 
     Slot j carries the sign (-1)^j and layer i the weight m_i; term'
-    precomposes the face (L, n, i, j).  Summands come in (j, i) order and
-    are not canonicalized.
+    precomposes the face (L, n, i, j).  Summands come in (j, i) order.
     """
     L, n = m.L, term.domain_dim
     for j in range(n + 1):
         sign = -1 if j % 2 else 1
         for i in range(L + 1):
             faces = term.faces + (FaceMap(L, n, i, j),)
-            yield (j, i), sign * m[i], SingularTerm(faces, n - 1, term.to_point)
+            yield (j, i), sign * m[i], SingularTerm(faces, n - 1)
 
 
 def _double_boundary(
@@ -238,7 +186,7 @@ def _double_boundary(
 ) -> Iterator[Tuple[Tuple[int, int, int, int], int, SingularTerm]]:
     """The summands ((j, p, i, k), w, term'') of ∂∂term in (j, i, p, k) order:
     term'' precomposes the faces (L, n, i, j) and (L, n-1, k, p), w is the
-    product of their weights, and nothing is canonicalized."""
+    product of their weights."""
     for (j, i), w1, face_term in _face_summands(term, m):
         for (p, k), w2, summand in _face_summands(face_term, m):
             yield (j, p, i, k), w1 * w2, summand
@@ -255,12 +203,12 @@ def boundary(c: Chain, m: CoefficientTuple) -> Chain:
         raise UnsupportedL(f"no Θ family for L={m.L}")
     n = c.dim
     if n == 0:
-        return zero_chain(c.ring, -1)
+        return Chain(-1, ())
     entries: Dict[SingularTerm, int] = {}
     for term, coeff in c.terms:
         for _, weight, face_term in _face_summands(term, m):
             entries[face_term] = entries.get(face_term, 0) + coeff * weight
-    return Chain.make(c.ring, n - 1, entries)
+    return Chain.make(n - 1, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +377,6 @@ def check_boundary_squared(
     d = c.dim
     if d < 1:
         raise ValueError("the double boundary needs chains of dimension >= 1")
-    ring = c.ring
     check = CancellationCheck(
         dim=d, L=L, m=tuple(m), summands_total=0, pairs_checked=0, consumed=0,
         points_checked=0, trivial=d == 1, grid_meta={**(grid_meta or {}), "size": len(grid)},
@@ -439,7 +386,7 @@ def check_boundary_squared(
     equations = None  # the identity at level d-1, run once, on the first pair that needs it
 
     for term, coeff in c.terms:
-        summands = {key: ring.norm(coeff * weight) for key, weight, _ in _double_boundary(term, m)}
+        summands = {key: coeff * weight for key, weight, _ in _double_boundary(term, m)}
         check.summands_total += len(summands)
 
         consumed = set()
@@ -451,7 +398,7 @@ def check_boundary_squared(
             check.pairs_checked += 1
             consumed.add((j, p, i, k))
             consumed.add(partner)
-            if ring.norm(coeff_small + coeff_big) != 0:
+            if coeff_small + coeff_big != 0:
                 check.witnesses.append(
                     Witness(
                         point="-",
@@ -461,8 +408,6 @@ def check_boundary_squared(
                     )
                 )
                 continue
-            if term.to_point:
-                continue  # all composites into the point coincide
             if equations is None:
                 equations = {(r.j, r.p, r.i, r.k): r for r in check_equation(d - 1, grid, L)}
             maps = equations[j, p, i, k]

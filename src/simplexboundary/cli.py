@@ -383,7 +383,11 @@ def cmd_homology(args) -> int:
     _check_family(m.L)
     if args.n_max < 0:
         raise UsageError("--n-max must be nonnegative")
-    rows = homology_table(m, args.n_max)
+    try:
+        rows = homology_table(m, args.n_max)
+    except AssertionError as exc:  # a factor or module disagrees with its cross-check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     text = "\n".join(f"{n}, {bnd}, {hn}" for n, bnd, hn in rows) + "\n"
     _write_or_print(text, args.out)
     return 0

@@ -6,8 +6,6 @@ import pytest
 from simplexboundary.chain import (
     Chain,
     CoefficientTuple,
-    INTEGERS,
-    RingSpec,
     SingularTerm,
     boundary,
     chain_of_term,
@@ -16,7 +14,6 @@ from simplexboundary.chain import (
     check_equation,
     equation_instances,
     identity_term,
-    point_term,
 )
 from simplexboundary.geometry import BaryPoint, canonical_grid, format_point
 from simplexboundary.theta import FaceMap, ThetaKey, UnsupportedL, face_insert
@@ -59,7 +56,7 @@ def test_boundary_term_structure():
         for i in range(2):
             term = SingularTerm((FaceMap(1, 2, i, j),), 1)
             expected = (-1 if j % 2 else 1) * m[i]
-            assert d.coefficient(term) == expected
+            assert dict(d.terms)[term] == expected
 
 
 def test_boundary_term_count_general():
@@ -70,51 +67,45 @@ def test_boundary_term_count_general():
 
 
 def test_boundary_point_target_collapses():
-    m = CoefficientTuple([9, 4])
-    # Odd dimension: the alternating signs kill the sum.
-    assert boundary(chain_of_term(point_term(1)), m).is_zero
-    # Even positive dimension: multiplication by the coefficient sum.
-    d = boundary(chain_of_term(point_term(2)), m)
-    assert d.terms == ((point_term(1), 13),)
-    assert boundary(chain_of_term(point_term(2)), CoefficientTuple([1, -1])).is_zero
+    # Pushed to the point, a chain is its coefficient sum times the point
+    # simplex, and the boundary commutes with the push-forward: it
+    # multiplies that sum by 0 in odd dimensions (the alternating signs
+    # cancel) and by the coefficient sum σ in positive even ones.
+    def pushed(c):
+        return sum(coeff for _, coeff in c.terms)
+
+    t1 = SingularTerm((FaceMap(1, 3, 0, 1),), 2)
+    t2 = SingularTerm((FaceMap(1, 3, 1, 2),), 2)
+    c = Chain.make(2, {identity_term(2): 1, t1: 3, t2: -5})
+    for entries, sigma in (([9, 4], 13), ([1, -1], 0)):
+        m = CoefficientTuple(entries)
+        assert pushed(boundary(chain_of_term(identity_term(1)), m)) == 0
+        assert pushed(boundary(c, m)) == sigma * pushed(c) == -sigma
 
 
 def test_boundary_linearity():
     m = CoefficientTuple([9, 4])
     t1 = SingularTerm((FaceMap(1, 3, 0, 1),), 2)
     t2 = SingularTerm((FaceMap(1, 3, 1, 2),), 2)
-    lhs = boundary(Chain.make(INTEGERS, 2, {t1: 3, t2: -5}), m)
+    lhs = boundary(Chain.make(2, {t1: 3, t2: -5}), m)
     summed = {}
     for term, scale in ((t1, 3), (t2, -5)):
         for face, coeff in boundary(chain_of_term(term), m).terms:
             summed[face] = summed.get(face, 0) + scale * coeff
     assert not lhs.is_zero
-    assert lhs == Chain.make(INTEGERS, 1, summed)
-
-
-def test_modular_ring_normalization():
-    ring = RingSpec(3)
-    c = chain_of_term(identity_term(2), ring=ring)
-    d = boundary(c, CoefficientTuple([9, 4]))
-    # 9 ≡ 0 (mod 3) wipes out the i=0 terms, 4 ≡ 1 keeps the i=1 terms.
-    assert len(d.terms) == 3
-    assert all(coeff == 1 or coeff == 2 for _, coeff in d.terms)
+    assert lhs == Chain.make(1, summed)
 
 
 def test_double_boundary_as_formal_chain():
     # SHA-256 of the (describe(), coefficient) list of ∂∂ of the identity
     # 3-chain for m = (9,4): pins the term order, the describe strings and
-    # the modular normalization.
+    # the coefficients.
     m = CoefficientTuple([9, 4])
-    digests = {
-        INTEGERS: "cbddbc05afbf49a0297c84705f2720a8b84a1139c04ac6676ecd53625b85cbbe",
-        RingSpec(5): "692fb719f896e45930b14fdefef90e728bf1e3d454efa9b62c048772c435a672",
-    }
-    for ring, digest in digests.items():
-        dd = boundary(boundary(chain_of_term(identity_term(3), ring=ring), m), m)
-        listing = [(term.describe(), coeff) for term, coeff in dd.terms]
-        assert len(listing) == 48
-        assert hashlib.sha256(repr(listing).encode()).hexdigest() == digest
+    dd = boundary(boundary(chain_of_term(identity_term(3)), m), m)
+    listing = [(term.describe(), coeff) for term, coeff in dd.terms]
+    assert len(listing) == 48
+    digest = "cbddbc05afbf49a0297c84705f2720a8b84a1139c04ac6676ecd53625b85cbbe"
+    assert hashlib.sha256(repr(listing).encode()).hexdigest() == digest
 
 
 def test_unsupported_coefficient_length():
@@ -371,23 +362,6 @@ def test_certificate_trivial_dimension_one():
     assert res.verdict and res.trivial and res.summands_total == 0
 
 
-def test_certificate_point_target():
-    m = CoefficientTuple([9, 4])
-    c = chain_of_term(point_term(3))
-    res = check_boundary_squared(c, m, small_grid(1, 4))
-    assert res.verdict
-    # The normalized double boundary is literally the zero chain here.
-    assert boundary(boundary(c, m), m).is_zero
-
-
-def test_certificate_modular_ring():
-    ring = RingSpec(5)
-    res = check_boundary_squared(
-        chain_of_term(identity_term(2), ring=ring), CoefficientTuple([9, 4]), small_grid(0)
-    )
-    assert res.verdict
-
-
 def test_certificate_report_shape():
     res = check_boundary_squared(
         chain_of_term(identity_term(2)), CoefficientTuple([1, 1]), small_grid(0)
@@ -414,8 +388,8 @@ def test_certificate_runs_the_identity_once_per_call(monkeypatch):
 
     rejecting_theta(monkeypatch, ThetaKey(1, 1, 1))
     m, grid = CoefficientTuple([9, 4]), small_grid(1, 4)
-    chain = Chain.make(INTEGERS, 3, {identity_term(3): 1, SingularTerm((FaceMap(1, 4, 0, 1),), 3): 2})
-    parts = [check_boundary_squared(Chain(INTEGERS, 3, (tc,)), m, grid) for tc in chain.terms]
+    chain = Chain.make(3, {identity_term(3): 1, SingularTerm((FaceMap(1, 4, 0, 1),), 3): 2})
+    parts = [check_boundary_squared(Chain(3, (tc,)), m, grid) for tc in chain.terms]
     calls, real = [], chain_module.check_equation
     monkeypatch.setattr(chain_module, "check_equation", lambda n, *args: calls.append(n) or real(n, *args))
     res = check_boundary_squared(chain, m, grid)
@@ -423,9 +397,8 @@ def test_certificate_runs_the_identity_once_per_call(monkeypatch):
     assert res.witnesses and res.witnesses == parts[0].witnesses + parts[1].witnesses
     assert res.points_checked == sum(part.points_checked for part in parts) == 2 * 24 * len(grid)
     assert res.consumed == res.summands_total == 2 * 48
-    # Chains with no map to check make no call.
+    # A trivial certificate has no map to check and makes no call.
     check_boundary_squared(chain_of_term(identity_term(1)), m, grid)
-    check_boundary_squared(chain_of_term(point_term(3)), m, grid)
     assert calls == [2]
 
 

@@ -1,12 +1,14 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from simplexboundary import cli
+from simplexboundary import cli, homology_point
+from simplexboundary.chain import Chain
 from simplexboundary.cli import main
 from simplexboundary.comfort import SimplexHomeo
 
@@ -248,6 +250,22 @@ def test_homology_sigma_zero(capsys):
     code, stdout, _ = run(capsys, "homology", "--m", "1,-1", "--n-max", "3")
     assert code == 0
     assert [line.split(", ")[2] for line in stdout.splitlines()] == ["Z", "Z", "Z", "Z"]
+
+
+def test_homology_failing_cross_check_exits_one(tmp_path, capsys, monkeypatch):
+    # A boundary that drops one summand reads -9 for the degree-1 factor.
+    real = homology_point.boundary
+
+    def dropping(c, m):
+        d = real(c, m)
+        return Chain(d.dim, d.terms[1:])
+
+    monkeypatch.setattr(homology_point, "boundary", dropping)
+    out = tmp_path / "table.txt"
+    code, stdout, stderr = run(capsys, "homology", "--m", "9,4", "--n-max", "3", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: symbolic homology Z disagrees with kernel/image Z/9 in degree 0\n"
+    assert not out.exists()
 
 
 def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
@@ -508,3 +526,30 @@ def test_verify_boundary_l_contradicting_m_exits_two(capsys):
     code, stdout, stderr = run(capsys, "verify-boundary", "--m", "9,4", "--L", "0")
     assert (code, stdout) == (2, "")
     assert stderr == "usage error: --L 0 contradicts the coefficient tuple of length 2\n"
+
+
+def readme_examples():
+    """The ``simplex-boundary`` invocations of README's CLI section, each
+    with the output its ``# -> value`` comment promises, or None."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.replace("\\\n", " ").splitlines():
+        command, _, comment = line.partition("#")
+        if command.strip():
+            program, *argv = shlex.split(command)
+            assert program == "simplex-boundary"
+            expected = comment.partition("->")[2].strip() or None
+            examples.append(pytest.param(argv, expected, id=" ".join(argv)))
+    return examples
+
+
+@pytest.mark.parametrize("argv, expected", readme_examples())
+def test_readme_examples(argv, expected, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the examples' --out files land here
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    if argv[:3] == ["eval", "--map", "theta:L=1,n=1,i=1"]:
+        assert expected == "[1/5,4/5]"  # the README keeps promising the value
+    if expected is not None:
+        assert stdout.strip() == expected

@@ -1,7 +1,7 @@
 import pytest
 
 from simplexboundary import homology_point
-from simplexboundary.chain import CoefficientTuple, boundary, chain_of_term, point_term
+from simplexboundary.chain import CoefficientTuple
 from simplexboundary.homology_point import (
     homology_table,
     point_boundary_map,
@@ -83,8 +83,6 @@ def test_chain_boundary_reproduces_scalar_maps():
         for n in range(9):
             closed_form = 0 if n == 0 or n % 2 else sigma(m)
             assert point_boundary_map(n, m) == closed_form
-            d = boundary(chain_of_term(point_term(n)), m)
-            assert d.terms == (((point_term(n - 1), closed_form),) if closed_form else ())
 
 
 def test_homology_table():
@@ -115,3 +113,16 @@ def test_table_checks_every_printed_factor(monkeypatch):
     message = "^boundary factor -13 in degree 2 disagrees with the closed form 13$"
     with pytest.raises(AssertionError, match=message):
         homology_table(m, 4)
+
+
+def test_table_reads_each_factor_once(monkeypatch):
+    # Degrees 0..n_max print a row and degree n_max+1 closes the last
+    # kernel/image check: n_max + 2 factors, each read once.
+    m = CoefficientTuple([9, 4])
+    real, calls = homology_point.point_boundary_map, []
+    monkeypatch.setattr(homology_point, "point_boundary_map", lambda n, m: calls.append(n) or real(n, m))
+    homology_table(m, 8)
+    assert calls == list(range(10))
+    calls.clear()
+    assert point_homology(3, m) == "Z/13"
+    assert calls == [3, 4]

@@ -39,12 +39,17 @@ REPORTS = {
         "17846d244acbf61d8bc280ce93aa4c99cb9bd1080b12650ef4d0bbf79c3e07ba",
     ("verify-boundary", "--m", "1", "--n", "2", "--n-max", "6"):
         "bf2c391c9263562729729f7c2d4d23d3b689b69f7beb64435fc26a2940977255",
+    # The trivial dimension-1 certificate, and σ = 0 past dimension 2.
+    ("verify-boundary", "--m", "1,-1", "--n", "1", "--n-max", "4"):
+        "56512aed9e80504f455f88c268ab8704f723dc705567495c6540c73e3fe1ad70",
     ("verify-equations", "--L", "1", "--n", "1", "--n-max", "2"):
         "3e74bb3f1722c6fe0dfb92fca831a53080b13d9d14413e08874d7070e330842b",
     ("verify-equations", "--L", "0", "--n", "1", "--n-max", "5"):
         "e693b999694e84eb72b1285410b7b278100965469b667c8b0db60e71d7235e1f",
     ("homology", "--m", "9,4", "--n-max", "8"):
         "9a91e9d1227b2b0a56a5435665256c542b8fe672098141f454676a002544cd14",
+    ("homology", "--m", "9,4", "--n-max", "12"):
+        "5685b5e1bc679786a785be23a59e380cba675248ceed1fa00ec25fbd1903f19f",
     ("homology", "--m", "1,-1"):
         "3d156fee46fc84ae3953d703902c7b0db3a84bacc3770f84ed74712752826382",
     # The report holds only the rows, so equal rows give equal digests:
