@@ -24,6 +24,7 @@ from typing import List, Optional, Tuple
 
 from .chain import (
     CoefficientTuple,
+    _face_summands,
     check_boundary_squared,
     check_equation,
     chain_of_term,
@@ -43,7 +44,7 @@ from .geometry import (
     vertex,
 )
 from .homology_point import homology_table
-from .theta import THETA1_DIM_CAP, FaceMap, ThetaKey, face_insert, theta
+from .theta import THETA1_DIM_CAP, ThetaKey, face_insert, theta
 
 
 class UsageError(ValueError):
@@ -307,13 +308,11 @@ def _planar(x: BaryPoint):
 def _figure_segments(m: Optional[CoefficientTuple], alpha: Optional[Fraction]):
     segments = []
     if m is not None:
+        # The summands themselves: boundary() sorts, drops zero weights and rejects L > 1.
         ends = [BaryPoint([1, 0]), BaryPoint([0, 1])]
-        for j in range(3):
-            sign = -1 if j % 2 else 1
-            for i in range(m.L + 1):
-                fm = FaceMap(m.L, 2, i, j)
-                a, b = (face_insert(fm, e) for e in ends)
-                segments.append((f"{sign * m[i]:+d}", a, b))
+        for _, weight, term in _face_summands(identity_term(2), m):
+            a, b = (face_insert(term.faces[0], e) for e in ends)
+            segments.append((f"{weight:+d}", a, b))
     if alpha is not None:
         rest = 1 - alpha
         for j in range(3):

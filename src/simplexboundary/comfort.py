@@ -47,7 +47,6 @@ from .geometry import (
     sort_perm,
 )
 from .pl1d import (
-    CrossMismatch,
     PLMap,
     pl_eval,
     pl_inverse,
@@ -71,10 +70,6 @@ class EndpointNotFixed(ValueError):
 
 class BadLevels(ValueError):
     """Layer or cross levels outside the range the construction supports."""
-
-
-class CrossPropertyViolation(ValueError):
-    """A boundary point on the source cross maps off the target cross."""
 
 
 class SimplexHomeo:
@@ -250,18 +245,8 @@ def extend_from_boundary(phi: PointMap, alpha, beta, n: int, phi_inverse: PointM
     if not (0 <= alpha < cval and 0 <= beta < cval):
         raise BadLevels(f"cross levels ({alpha}, {beta}) must lie in [0, 1/{n + 1})")
 
-    def extension(f: PointMap, lo: Fraction, hi: Fraction) -> PointMap:
-        def ray(b: BaryPoint, c: BaryPoint) -> PLMap:
-            try:
-                return tau_polygon(b, c, lo, hi)
-            except CrossMismatch as exc:
-                raise CrossPropertyViolation(
-                    f"boundary image of {format_point(b)} leaves the target cross: {exc}"
-                ) from exc
-
-        return _ray_extension(f, ray, n)
-
-    forward, inverse = extension(phi, alpha, beta), extension(phi_inverse, beta, alpha)
+    forward = _ray_extension(phi, lambda b, c: tau_polygon(b, c, alpha, beta), n)
+    inverse = _ray_extension(phi_inverse, lambda b, c: tau_polygon(b, c, beta, alpha), n)
     return SimplexHomeo(n, forward, inverse, label="boundary-extension")
 
 

@@ -82,19 +82,18 @@ class BaryPoint(abc.Sequence):
     __slots__ = ("nums", "den", "_coords")
 
     def __new__(cls, coords: Iterable, den: Optional[int] = None) -> "BaryPoint":
-        if den is None:
+        vals = None
+        if den is None:  # over the lcm of the denominators, so already reduced
             vals = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
-            if not vals:
-                raise ValueError("a barycentric point needs at least one coordinate")
             dens = [c.denominator for c in vals]
             den = math.lcm(*dens)
             nums = tuple(c.numerator * (den // q) for c, q in zip(vals, dens))
         else:
-            nums, vals = tuple(coords), None
-            if not nums:
-                raise ValueError("a barycentric point needs at least one coordinate")
-            if den <= 0:
-                raise ValueError(f"barycentric denominator must be positive, got {den}")
+            nums = tuple(coords)
+        if not nums:
+            raise ValueError("a barycentric point needs at least one coordinate")
+        if den <= 0:
+            raise ValueError(f"barycentric denominator must be positive, got {den}")
         if min(nums) < 0:
             vals = vals or tuple(Fraction(p, den) for p in nums)
             raise ValueError(f"negative barycentric coordinate in {vals!r}")
@@ -182,11 +181,11 @@ def sort_perm(x: Sequence) -> Tuple[int, ...]:
     ``x`` may be a point, its coordinates, or its integer numerators
     ``x.nums``, which sort the same way and compare faster.
 
-    Ties are broken by the original index (stable), which keeps runs
+    Ties keep the original index order (the sort is stable), which keeps runs
     reproducible; downstream maps are permutation-respecting, so results
     do not depend on the tie-breaking rule.
     """
-    return tuple(sorted(range(len(x)), key=lambda m: (x[m], m)))
+    return tuple(sorted(range(len(x)), key=x.__getitem__))
 
 
 def apply_perm(x: BaryPoint, perm: Sequence[int]) -> BaryPoint:
@@ -401,19 +400,35 @@ def canonical_grid(
     return pts
 
 
+def _pinned_samples(
+    rng: random.Random, n: int, count: int, pins: int, value: Fraction
+) -> List[BaryPoint]:
+    """``count`` points, each with ``pins`` coordinates equal to ``value``;
+    the pinned slots cycle through the ``pins``-subsets of 0..n in
+    ``itertools.combinations`` order.
+
+    For each point a seeded d in n+1..3000 is split into the free slots by
+    a composition p; with value = a/q, a free slot gets (q - pins*a)*p_m
+    and a pinned one a*d, all over d*q.
+    """
+    a, q = value.numerator, value.denominator
+    scale = q - pins * a
+    slot_sets = list(itertools.combinations(range(n + 1), pins))
+    points = []
+    for m in range(count):
+        d = rng.randint(n + 1, 3_000)
+        nums = [scale * p for p in _composition(rng, d, n + 1 - pins)]
+        for slot in slot_sets[m % len(slot_sets)]:
+            nums.insert(slot, a * d)
+        points.append(BaryPoint(nums, d * q))
+    return points
+
+
 def boundary_samples(n: int, count: int, seed: int = DEFAULT_SEED) -> List[BaryPoint]:
     """Seeded points with at least one zero coordinate."""
     if n < 1:
         raise ValueError("the 0-simplex has no boundary")
-    rng = _child_rng(seed, 3, n)
-    points = []
-    for m in range(count):
-        slot = m % (n + 1)
-        d = rng.randint(n + 1, 3_000)
-        parts = _composition(rng, d, n)
-        parts.insert(slot, 0)
-        points.append(BaryPoint(parts, d))
-    return points
+    return _pinned_samples(_child_rng(seed, 3, n), n, count, 1, Fraction(0))
 
 
 def cross_samples(n: int, alpha, count: int, seed: int = DEFAULT_SEED) -> List[BaryPoint]:
@@ -423,34 +438,14 @@ def cross_samples(n: int, alpha, count: int, seed: int = DEFAULT_SEED) -> List[B
         raise ValueError(f"cross level {alpha} outside [0,1]")
     if n < 1:
         raise ValueError("cross sampling needs dimension >= 1")
-    rng = _child_rng(seed, 4, n)
-    rest = 1 - alpha
-    points = []
-    for m in range(count):
-        slot = m % (n + 1)
-        d = rng.randint(n + 1, 3_000)
-        parts = _composition(rng, d, n)
-        coords = [rest * Fraction(p, d) for p in parts]
-        coords.insert(slot, alpha)
-        points.append(BaryPoint(coords))
-    return points
+    return _pinned_samples(_child_rng(seed, 4, n), n, count, 1, alpha)
 
 
 def multi_zero_samples(n: int, count: int, seed: int = DEFAULT_SEED) -> List[BaryPoint]:
     """Seeded boundary points with at least two zero coordinates (n >= 2)."""
     if n < 2:
         raise ValueError("two zero slots need dimension >= 2")
-    rng = _child_rng(seed, 5, n)
-    slot_pairs = list(itertools.combinations(range(n + 1), 2))
-    points = []
-    for m in range(count):
-        z1, z2 = slot_pairs[m % len(slot_pairs)]
-        d = rng.randint(n + 1, 3_000)
-        parts = _composition(rng, d, n - 1)
-        parts.insert(z1, 0)
-        parts.insert(z2, 0)
-        points.append(BaryPoint(parts, d))
-    return points
+    return _pinned_samples(_child_rng(seed, 5, n), n, count, 2, Fraction(0))
 
 
 def layer_samples(n: int, alpha, count: int, seed: int = DEFAULT_SEED) -> List[BaryPoint]:

@@ -77,9 +77,6 @@ class PLMap:
     def domain(self) -> Tuple[Fraction, Fraction]:
         return (self.lo, self.hi)
 
-    def __call__(self, t: Fraction) -> Fraction:
-        return pl_eval(self, t)
-
     def fixed_points(self) -> Tuple[Fraction, ...]:
         """Breakpoint inputs mapped to themselves (includes both endpoints
         when the map fixes them)."""

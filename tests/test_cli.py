@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from simplexboundary import cli, homology_point
+from simplexboundary import chain, cli, homology_point
 from simplexboundary.chain import Chain
 from simplexboundary.cli import main
 from simplexboundary.comfort import SimplexHomeo
@@ -42,6 +42,30 @@ def test_verify_boundary_small(tmp_path, capsys):
     assert report["runs"][0]["summands"] == 24
     assert report["runs"][0]["pairs_checked"] == 12
     assert report["verdict"] == "pass"
+
+
+def test_verify_boundary_coefficients_that_do_not_cancel_exit_one(tmp_path, capsys, monkeypatch):
+    # One summand's weight off by one: each run pairs every summand as
+    # before and reports that pair's coefficients with a witness.
+    argv = ["verify-boundary", "--m", "9,4", "--n", "2", "--n-max", "3", "--out"]
+    assert run(capsys, *argv, str(tmp_path / "good.json"))[0] == 0
+    good = json.loads((tmp_path / "good.json").read_text())
+    expand = chain._double_boundary
+
+    def off_by_one(term, m):
+        for key, weight, summand in expand(term, m):
+            yield key, weight + (key == (0, 0, 0, 0)), summand
+
+    monkeypatch.setattr(chain, "_double_boundary", off_by_one)
+    code, _, _ = run(capsys, *argv, str(tmp_path / "bad.json"))
+    assert code == 1
+    bad = json.loads((tmp_path / "bad.json").read_text())
+    assert bad["verdict"] == "fail" and len(bad["runs"]) == 2
+    for before, after in zip(good["runs"], bad["runs"]):
+        assert after["pairs_checked"] == before["pairs_checked"]
+        assert [w["detail"] for w in after["witnesses"]] == [
+            "coefficients of (0, 0, 0, 0) and (1, 0, 0, 0) do not cancel"
+        ]
 
 
 def test_eval_theta(capsys):
@@ -174,6 +198,38 @@ def test_entry_point_exit_codes(argv, code, stream, expected):
     assert proc.returncode == code
     assert expected in getattr(proc, stream)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-equations", "--n", "0"], "--n must be at least 1"),
+        (["verify-boundary", "--n", "0"], "--n must be at least 1"),
+        (["homology", "--n-max", "-1"], "--n-max must be nonnegative"),
+        (["figure", "--alpha", "2"], "cross level 2 outside [0,1]"),
+        (["figure", "--m", "9,4", "--format", "png"], "figure format must be csv or svg, got 'png'"),
+        (
+            ["verify-boundary", "--m", "9,x"],
+            "cannot parse coefficient tuple '9,x': invalid literal for int() with base 10: 'x'",
+        ),
+        (["homology", "--config", "CONFIG"], "config line without '=': 'n 2'"),
+        (["eval", "--map", "theta:L=1,n"], "bad map parameter 'n' in 'theta:L=1,n'"),
+        (["eval", "--map", "theta:L=1"], "theta map id needs L, n, i: 'theta:L=1'"),
+        (
+            ["eval", "--map", "pi_alpha:n=x,alpha=0"],
+            "pi_alpha map id needs n and alpha: 'pi_alpha:n=x,alpha=0'",
+        ),
+        (["eval", "--map", "pi_alpha:n=1"], "pi_alpha map id needs n and alpha: 'pi_alpha:n=1'"),
+    ],
+)
+def test_usage_errors_exit_two(argv, message, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("n 2\n")
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    if argv[0] == "eval":
+        argv += ["--point", "[1/4,3/4]"]
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout, stderr) == (2, "", f"usage error: {message}\n")
 
 
 def test_unsupported_family_exits_two(capsys):

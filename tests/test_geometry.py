@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -19,6 +20,7 @@ from simplexboundary.geometry import (
     cross_samples,
     format_point,
     format_rational,
+    layer_samples,
     min_value,
     multi_zero_samples,
     on_boundary,
@@ -542,3 +544,31 @@ def test_special_samplers():
         assert on_cross(x, F(1, 8))
     for x in multi_zero_samples(3, 12):
         assert sum(1 for c in x if c == 0) >= 2
+
+
+#: SHA-256 of the lines of ``sampler_transcript``, so that every point the
+#: seeded samplers draw is pinned, including those no report prints.
+SAMPLER_DIGEST = "b4f87937d74fc5425065c1d0519f2833b366296966ccba5f7d27a67240ddbf9c"
+
+
+def sampler_transcript():
+    """Lines ``name n: point`` for every seeded sampler at seed 11."""
+    lines = []
+
+    def add(name, n, points):
+        lines.extend(f"{name} {n}: {format_point(x)}" for x in points)
+
+    for n in range(1, 5):
+        add("boundary", n, boundary_samples(n, 12, seed=11))
+        add("cross", n, cross_samples(n, F(1, 2 * (n + 1)), 12, seed=11))
+        add("cross1", n, cross_samples(n, 1, 3, seed=11))
+        add("layer", n, layer_samples(n, F(1, 3 * (n + 1)), 6, seed=11))
+    for n in range(2, 5):
+        add("multi_zero", n, multi_zero_samples(n, 12, seed=11))
+    return lines
+
+
+def test_sampler_points_are_pinned():
+    lines = sampler_transcript()
+    assert len(lines) == 168
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SAMPLER_DIGEST

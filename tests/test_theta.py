@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexboundary.comfort import check_comfort
+from simplexboundary.comfort import check_comfort, extend_from_boundary
 from simplexboundary.geometry import (
     BaryPoint,
     format_rational,
@@ -318,6 +318,49 @@ def test_face_tables_match_conjugated_face0_composite(n):
             assert_exactly(t.inverse_at(y), back)
             assert t.inverse_at(image) == y
             assert t(back) == y
+
+
+def induction_step_at_dimension_one(beta):
+    """The inductive construction run at n = 1: the boundary extension,
+    levels 1/4 -> ``beta``, of the map that walks ``_face_steps(1, j)``
+    on the vertex with slot j zero, with the inverse walking it back."""
+    tables = [_face_steps(1, j) for j in range(2)]
+
+    def on_boundary(b):
+        for step, _ in tables[b.nums.index(0)]:
+            b = step(b)
+        return b
+
+    def on_boundary_inverse(c):
+        for _, inverse in reversed(tables[c.nums.index(0)]):
+            c = inverse(c)
+        return c
+
+    return extend_from_boundary(on_boundary, F(1, 4), beta, 1, on_boundary_inverse)
+
+
+def test_induction_base_is_the_kappa_lift_as_maps():
+    """The induction started one dimension early reproduces its base, the
+    kappa lift Θ(1,1,1), as maps and not only on samples.
+
+    In x_0, both forward maps are piecewise linear with breakpoints in
+    {1/4, 1/2, 3/4}: they bend where the smaller coordinate is 1/4
+    (kappa's 1/4 -> 1/5, or the level of the tau polygon), and at 1/2 the
+    smaller coordinate, and with it the ray, switches.  Both inverses bend
+    where the smaller coordinate is 1/5, so in {1/5, 1/2, 4/5}.  Every
+    piece of either map holds at least two of the points x_0 = k/8, and a
+    linear piece is fixed by two points, so agreement at all nine k/8
+    means equality on [0, 1].
+    """
+    kappa_lift = theta(ThetaKey(1, 1, 1))
+    probes = [BaryPoint([F(k, 8), 1 - F(k, 8)]) for k in range(9)]
+    built = induction_step_at_dimension_one(F(1, 5))
+    for x in probes:
+        assert built(x) == kappa_lift(x)
+        assert built.inverse_at(x) == kappa_lift.inverse_at(x)
+    # The probes see a wrong target level.
+    wrong = induction_step_at_dimension_one(F(1, 6))
+    assert any(wrong(x) != kappa_lift(x) for x in probes)
 
 
 def test_theta1_full_restricts_to_faces():
