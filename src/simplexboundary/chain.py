@@ -156,10 +156,6 @@ class Chain:
         kept = tuple(sorted(((t, c) for t, c in entries.items() if c), key=lambda tc: tc[0].describe()))
         return Chain(dim, kept)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 def chain_of_term(term: SingularTerm) -> Chain:
     return Chain.make(term.domain_dim, {term: 1})

@@ -40,7 +40,6 @@ from .geometry import (
     apply_perm,
     center,
     format_point,
-    min_value,
     project_boundary,
     project_layer,
     segment_eval,
@@ -52,7 +51,7 @@ from .pl1d import (
     pl_inverse,
     polygon,
     sigma_polygon,
-    tau_polygon,
+    tau_at,
 )
 
 
@@ -175,24 +174,26 @@ def lambda_lift(f: PLMap, n: int) -> SimplexHomeo:
 # Extensions along the rays through the center
 
 
-def _ray_extension(foot: PointMap, ray: Callable[[BaryPoint, BaryPoint], PLMap], n: int) -> PointMap:
-    # x has minimum a and lies at parameter t = a*(n+1) on the segment from
-    # the boundary point b = project_boundary(x) to the center; the image
-    # lies at parameter ray(b, c)(t), a polygon of [0, 1], on the segment
-    # from c = foot(b).  On the boundary b = x and t = 0, which every ray
-    # polygon fixes.
-    cval = Fraction(1, n + 1)
+def _ray_extension(
+    foot: PointMap, ray: Callable[[BaryPoint, BaryPoint, int, int], Fraction], n: int
+) -> PointMap:
+    # Over D, x has minimum M/D and lies at parameter t = (n+1)*M/D on the
+    # segment from the boundary point b = project_boundary(x) to the
+    # center; the image lies at parameter ray(b, c, (n+1)*M, D), the value
+    # at t of a polygon of [0, 1], on the segment from c = foot(b).  On the
+    # boundary b = x and t = 0, which every ray polygon fixes.
+    k = n + 1
     ctr = center(n)
 
     def forward(x: BaryPoint) -> BaryPoint:
-        a = min_value(x)
-        if a == 0:
+        M, D = min(x.nums), x.den
+        if M == 0:
             return foot(x)
-        if a == cval:
+        if k * M == D:
             return ctr
         b = project_boundary(x)
         c = foot(b)
-        return segment_eval(ctr, c, pl_eval(ray(b, c), a * (n + 1)))
+        return segment_eval(ctr, c, ray(b, c, k * M, D))
 
     return forward
 
@@ -219,7 +220,8 @@ def extend_from_layer(phi: PointMap, alpha, beta, n: int, phi_inverse: PointMap)
         # A ray's layer point is the layer point of its boundary point, and
         # the ray parameter of a point at level a is a*(n+1).
         sig = sigma_polygon(lo * (n + 1), hi * (n + 1), 1)
-        return _ray_extension(lambda b: project_boundary(f(project_layer(b, lo))), lambda b, c: sig, n)
+        foot = lambda b: project_boundary(f(project_layer(b, lo)))
+        return _ray_extension(foot, lambda b, c, p, q: pl_eval(sig, Fraction(p, q)), n)
 
     forward, inverse = extension(phi, alpha, beta), extension(phi_inverse, beta, alpha)
     return SimplexHomeo(n, forward, inverse, label="layer-extension")
@@ -245,8 +247,8 @@ def extend_from_boundary(phi: PointMap, alpha, beta, n: int, phi_inverse: PointM
     if not (0 <= alpha < cval and 0 <= beta < cval):
         raise BadLevels(f"cross levels ({alpha}, {beta}) must lie in [0, 1/{n + 1})")
 
-    forward = _ray_extension(phi, lambda b, c: tau_polygon(b, c, alpha, beta), n)
-    inverse = _ray_extension(phi_inverse, lambda b, c: tau_polygon(b, c, beta, alpha), n)
+    forward = _ray_extension(phi, lambda b, c, p, q: tau_at(b, c, alpha, beta, p, q), n)
+    inverse = _ray_extension(phi_inverse, lambda b, c, p, q: tau_at(b, c, beta, alpha, p, q), n)
     return SimplexHomeo(n, forward, inverse, label="boundary-extension")
 
 

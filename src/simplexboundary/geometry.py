@@ -20,7 +20,6 @@ verification checks.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import random
 from collections import abc
@@ -71,7 +70,9 @@ class BaryPoint(abc.Sequence):
     takes coordinates (a ``Fraction`` is kept, anything else goes through
     ``Fraction(c)``) and puts them over the least common multiple of their
     denominators; ``BaryPoint(nums, den)`` takes integer numerators and
-    divides out ``gcd(den, *nums)``.  Either way ``gcd(den, *nums) == 1``,
+    divides out ``gcd(den, *nums)``.  A private third argument, a small
+    known multiple of that gcd, only seeds it, so that each step reduces a
+    big number modulo a small one.  Either way ``gcd(den, *nums) == 1``,
     so equal points have equal numerator tuples, which are what equality
     and the hash compare (the numerators sum to ``den``, so they fix it).
     As a sequence a point yields its coordinates as reduced ``Fraction``
@@ -81,7 +82,7 @@ class BaryPoint(abc.Sequence):
 
     __slots__ = ("nums", "den", "_coords")
 
-    def __new__(cls, coords: Iterable, den: Optional[int] = None) -> "BaryPoint":
+    def __new__(cls, coords: Iterable, den: Optional[int] = None, _gcd_bound: int = 0) -> "BaryPoint":
         vals = None
         if den is None:  # over the lcm of the denominators, so already reduced
             vals = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
@@ -100,8 +101,8 @@ class BaryPoint(abc.Sequence):
         if sum(nums) != den:
             vals = vals or tuple(Fraction(p, den) for p in nums)
             raise ValueError(f"barycentric coordinates must sum to 1, got {vals!r}")
-        if vals is None:
-            g = math.gcd(den, *nums)
+        if vals is None:  # a caller that knows a multiple of the gcd passes it first
+            g = math.gcd(_gcd_bound, den, *nums)
             if g != 1:
                 nums, den = tuple([p // g for p in nums]), den // g
         self = object.__new__(cls)
@@ -200,12 +201,12 @@ def segment_eval(a: BaryPoint, b: BaryPoint, t: Fraction) -> BaryPoint:
     """Exact convex combination ``t*a + (1-t)*b``; t=1 gives ``a``."""
     if len(a) != len(b):
         raise DimensionMismatch(f"segment endpoints have dims {len(a)-1} and {len(b)-1}")
-    t = Fraction(t)
-    if not 0 <= t <= 1:
+    t = t if type(t) is Fraction else Fraction(t)
+    p, q = t.numerator, t.denominator
+    if not 0 <= p <= q:
         raise ValueError(f"segment parameter {t} outside [0,1]")
     # With a = A/Da, b = B/Db, D = lcm(Da, Db) and t = p/q, coordinate m
     # is (p*A_m*(D/Da) + (q-p)*B_m*(D/Db)) / (q*D).
-    p, q = t.numerator, t.denominator
     den = math.lcm(a.den, b.den)
     ua, ub = p * (den // a.den), (q - p) * (den // b.den)
     return BaryPoint([ua * am + ub * bm for am, bm in zip(a.nums, b.nums)], q * den)
@@ -221,27 +222,27 @@ def project_layer(x: BaryPoint, alpha: Fraction) -> BaryPoint:
     undefined at the center.
     """
     n = x.dim
-    alpha = Fraction(alpha)
-    cval = Fraction(1, n + 1)
-    if not 0 <= alpha <= cval:
-        raise ValueError(f"layer level {alpha} outside [0, 1/{n + 1}]")
-    if alpha == cval:
+    k = n + 1
+    alpha = alpha if type(alpha) in (int, Fraction) else Fraction(alpha)
+    a, d = alpha.numerator, alpha.denominator
+    if not 0 <= a * k <= d:  # 0 <= alpha <= 1/(n+1) for alpha = a/d
+        raise ValueError(f"layer level {alpha} outside [0, 1/{k}]")
+    if a * k == d:
         return center(n)
-    # Over D, x_m = X_m/D with minimum M/D; with alpha = a/d the image
-    # coordinate is (a*(D - (n+1)*M) + (d - (n+1)*a)*(X_m - M)) / (d*(D - (n+1)*M)).
+    # Over D, x_m = X_m/D with minimum M/D; the image coordinate is
+    # (a*(D - (n+1)*M) + (d - (n+1)*a)*(X_m - M)) / (d*(D - (n+1)*M)).
     nums = x.nums
     low = min(nums)
-    rest = x.den - (n + 1) * low
+    rest = x.den - k * low
     if rest == 0:
         raise CenterProjection(f"projection to layer {alpha} undefined at the center")
-    a, d = alpha.numerator, alpha.denominator
-    base, scale = a * rest, d - (n + 1) * a
+    base, scale = a * rest, d - k * a
     return BaryPoint([base + scale * (xm - low) for xm in nums], d * rest)
 
 
 def project_boundary(x: BaryPoint) -> BaryPoint:
     """Radial projection onto the topological boundary (layer 0)."""
-    return project_layer(x, Fraction(0))
+    return project_layer(x, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -398,59 +399,3 @@ def canonical_grid(
     pts = sponge_points(n, denominator, sponge_cap, seed)
     pts.extend(random_rational_points(n, random_count, seed))
     return pts
-
-
-def _pinned_samples(
-    rng: random.Random, n: int, count: int, pins: int, value: Fraction
-) -> List[BaryPoint]:
-    """``count`` points, each with ``pins`` coordinates equal to ``value``;
-    the pinned slots cycle through the ``pins``-subsets of 0..n in
-    ``itertools.combinations`` order.
-
-    For each point a seeded d in n+1..3000 is split into the free slots by
-    a composition p; with value = a/q, a free slot gets (q - pins*a)*p_m
-    and a pinned one a*d, all over d*q.
-    """
-    a, q = value.numerator, value.denominator
-    scale = q - pins * a
-    slot_sets = list(itertools.combinations(range(n + 1), pins))
-    points = []
-    for m in range(count):
-        d = rng.randint(n + 1, 3_000)
-        nums = [scale * p for p in _composition(rng, d, n + 1 - pins)]
-        for slot in slot_sets[m % len(slot_sets)]:
-            nums.insert(slot, a * d)
-        points.append(BaryPoint(nums, d * q))
-    return points
-
-
-def boundary_samples(n: int, count: int, seed: int = DEFAULT_SEED) -> List[BaryPoint]:
-    """Seeded points with at least one zero coordinate."""
-    if n < 1:
-        raise ValueError("the 0-simplex has no boundary")
-    return _pinned_samples(_child_rng(seed, 3, n), n, count, 1, Fraction(0))
-
-
-def cross_samples(n: int, alpha, count: int, seed: int = DEFAULT_SEED) -> List[BaryPoint]:
-    """Seeded points carrying at least one coordinate exactly ``alpha``."""
-    alpha = Fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"cross level {alpha} outside [0,1]")
-    if n < 1:
-        raise ValueError("cross sampling needs dimension >= 1")
-    return _pinned_samples(_child_rng(seed, 4, n), n, count, 1, alpha)
-
-
-def multi_zero_samples(n: int, count: int, seed: int = DEFAULT_SEED) -> List[BaryPoint]:
-    """Seeded boundary points with at least two zero coordinates (n >= 2)."""
-    if n < 2:
-        raise ValueError("two zero slots need dimension >= 2")
-    return _pinned_samples(_child_rng(seed, 5, n), n, count, 2, Fraction(0))
-
-
-def layer_samples(n: int, alpha, count: int, seed: int = DEFAULT_SEED) -> List[BaryPoint]:
-    """Seeded points whose minimum coordinate is exactly ``alpha``."""
-    alpha = Fraction(alpha)
-    if alpha == Fraction(1, n + 1):
-        return [center(n)]
-    return [project_layer(b, alpha) for b in boundary_samples(n, count, seed)]

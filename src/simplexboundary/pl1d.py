@@ -13,7 +13,7 @@ Besides the generic operations (evaluate, invert, compose) the module
 provides the named constructors used by the simplex homeomorphisms: the
 symmetric seed polygon ``kappa``, the ``phi_n0`` family, the three-point
 level matching polygon and the per-ray ``tau`` polygon of the boundary
-extension.
+extension, which ``tau_at`` evaluates on integers without building it.
 """
 
 from __future__ import annotations
@@ -76,11 +76,6 @@ class PLMap:
     @property
     def domain(self) -> Tuple[Fraction, Fraction]:
         return (self.lo, self.hi)
-
-    def fixed_points(self) -> Tuple[Fraction, ...]:
-        """Breakpoint inputs mapped to themselves (includes both endpoints
-        when the map fixes them)."""
-        return tuple(u for u, v in self.points if u == v)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pts = " ".join(f"({format_rational(u)},{format_rational(v)})" for u, v in self.points)
@@ -237,22 +232,21 @@ def sigma_polygon(alpha, beta, hi) -> PLMap:
     return polygon([(0, 0), (alpha, beta), (hi, hi)])
 
 
-def tau_polygon(b: BaryPoint, c: BaryPoint, alpha, beta) -> PLMap:
-    """Per-ray reparametrization of [0,1] used by the boundary extension.
+def _tau_breakpoints(b: BaryPoint, c: BaryPoint, alpha, beta) -> List[Tuple[int, int, int, int]]:
+    """The breakpoints of ``tau_polygon(b, c, alpha, beta)``, in ascending
+    order and before normalization, each as integers (u, du, v, dv) for
+    the pair (u/du, v/dv) with du, dv > 0; every check of ``tau_polygon``
+    runs here.
 
-    ``b`` is a boundary point, ``c`` its image under the boundary
-    homeomorphism.  For every index with b_j <= alpha the polygon passes
-    through ((α-b_j)/(1/(n+1)-b_j), (β-c_j)/(1/(n+1)-c_j)); coincident
-    pairs collapse.  Monotonicity of the resulting breakpoints encodes
-    that the boundary map keeps the order and matches the crosses.
-
-    The tests and breakpoints run on integer numerators: with b = B/Db,
-    α = pa/qa and k = n+1, b_j <= α reads qa*B_j <= pa*Db and the input
-    breakpoint is k*(pa*Db - qa*B_j) / (qa*(Db - k*B_j)); likewise for c
-    and β.  As α, β < 1/k, the input strictly decreases in B_j and the
-    output in C_j, so the distinct pairs (B_j, C_j) with b_j < α, sorted
-    descending, give the inner breakpoints in ascending order; b_j = α
-    forces c_j = β and gives the anchor (0, 0).  ``_normalized`` checks order.
+    With b = B/Db, α = pa/qa and k = n+1, b_j <= α reads qa*B_j <= pa*Db
+    and the input breakpoint is k*(pa*Db - qa*B_j) / (qa*(Db - k*B_j));
+    likewise for c and β.  As α, β < 1/k, the input strictly decreases in
+    B_j and the output in C_j, so the distinct pairs (B_j, C_j) with
+    b_j < α, sorted descending, give the inner breakpoints between the
+    anchors (0, 0) and (1, 1), with nondecreasing inputs; b_j = α forces
+    c_j = β and gives the anchor (0, 0).  Consecutive breakpoints are
+    compared by cross-multiplying; if the inputs or outputs do not strictly
+    increase, ``_normalized`` finds the same segment and raises.
     """
     if len(b) != len(c):
         raise ValueError("boundary point and image have different dimensions")
@@ -277,11 +271,41 @@ def tau_polygon(b: BaryPoint, c: BaryPoint, alpha, beta) -> PLMap:
             if k * cj >= Dc:
                 raise NonMonotone(f"image component {format_rational(c[j])} should be below 1/{k}")
             below.add((bj, cj))
-    points = [(Fraction(0), Fraction(0))]
+    points = [(0, 1, 0, 1)]
     for bj, cj in sorted(below, reverse=True):
-        points.append((
-            Fraction(k * (level_b - qa * bj), qa * (Db - k * bj)),
-            Fraction(k * (level_c - qb * cj), qb * (Dc - k * cj)),
-        ))
-    points.append((Fraction(1), Fraction(1)))
-    return _normalized(points)
+        u, v = k * (level_b - qa * bj), k * (level_c - qb * cj)
+        points.append((u, qa * (Db - k * bj), v, qb * (Dc - k * cj)))
+    points.append((1, 1, 1, 1))
+    for (u0, du0, v0, dv0), (u1, du1, v1, dv1) in zip(points, points[1:]):
+        if u0 * du1 >= u1 * du0 or v0 * dv1 >= v1 * dv0:
+            _normalized([(Fraction(u, du), Fraction(v, dv)) for u, du, v, dv in points])
+    return points
+
+
+def tau_polygon(b: BaryPoint, c: BaryPoint, alpha, beta) -> PLMap:
+    """Per-ray reparametrization of [0,1] used by the boundary extension.
+
+    ``b`` is a boundary point, ``c`` its image under the boundary
+    homeomorphism.  For every index with b_j <= alpha the polygon passes
+    through ((α-b_j)/(1/(n+1)-b_j), (β-c_j)/(1/(n+1)-c_j)); coincident
+    pairs collapse.  Monotonicity of the resulting breakpoints encodes
+    that the boundary map keeps the order and matches the crosses.
+    The breakpoints and their checks are ``_tau_breakpoints``.
+    """
+    points = _tau_breakpoints(b, c, alpha, beta)
+    return _normalized([(Fraction(u, du), Fraction(v, dv)) for u, du, v, dv in points])
+
+
+def tau_at(b: BaryPoint, c: BaryPoint, alpha, beta, p: int, q: int) -> Fraction:
+    """``pl_eval(tau_polygon(b, c, alpha, beta), p/q)`` for integers
+    0 <= p/q <= 1, q > 0, with no map built: the first breakpoint with
+    p/q <= u/du ends the piece, and the value on it is formed over
+    integers and reduced once."""
+    points = _tau_breakpoints(b, c, alpha, beta)
+    if p >= 0:
+        for (u0, du0, v0, dv0), (u1, du1, v1, dv1) in zip(points, points[1:]):
+            if p * du1 <= u1 * q:
+                # (v0*(u1 - t) + v1*(t - u0)) / (u1 - u0) at t = p/q, denominators cleared
+                num = v0 * dv1 * du0 * (u1 * q - p * du1) + v1 * dv0 * du1 * (p * du0 - u0 * q)
+                return Fraction(num, dv0 * dv1 * q * (u1 * du0 - u0 * du1))
+    raise OutOfDomain(f"{format_rational(Fraction(p, q))} outside [0, 1]")

@@ -44,12 +44,14 @@ class NotOnFace(ValueError):
     """The point does not lie on the requested boundary face."""
 
 
-#: Construction of the inductive family stops at this dimension.  The cost
-#: per point does not grow by a constant factor per dimension: measured
-#: Θ(1,n,1) latencies are 68, 231, 419, 630, 880 and 1167 µs at
-#: n = 1..6 (median over 128 seeded points per n, 3 passes, 2 shared
-#: vCPUs, Python 3.11.7), so each extra dimension adds 0.16-0.29 ms.
-THETA1_DIM_CAP = 6
+#: Construction of the inductive family stops at this dimension.  What
+#: limits a level is the growth of the denominators, not the cost per point
+#: at a fixed size: the largest output denominator of Θ(1,n,1) about
+#: doubles in bits with each dimension, and the identity at level n runs
+#: composites of every lower Θ on such points.  On 2 shared vCPUs (Python
+#: 3.11.7) the level 7 suite of ``verify-equations`` takes about 6 s and
+#: level 8 about 34 s.
+THETA1_DIM_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,14 @@ def face_insert(key: FaceMap, x: BaryPoint) -> BaryPoint:
     if x.dim != key.n - 1:
         raise ValueError(f"face map expects dimension {key.n - 1}, got {x.dim}")
     # With x = X/D and v = i/K, the image is over D*K: X_m*(K-i) for the
-    # kept coordinates and i*D at slot j.
+    # kept coordinates and i*D at slot j.  Their gcd divides K*(K-i): a
+    # prime of D misses some X_m, so its power is at most that in K-i, and
+    # any other prime's power is at most that in K.
     K = key.denominator
     keep = K - key.i
     nums = [xm * keep for xm in x.nums]
     nums.insert(key.j, key.i * x.den)
-    return BaryPoint(nums, x.den * K)
+    return BaryPoint(nums, x.den * K, K * keep)
 
 
 def face_delete(key: FaceMap, y: BaryPoint) -> BaryPoint:

@@ -27,9 +27,7 @@ from simplexboundary.geometry import (
     BaryPoint,
     canonical_grid,
     center,
-    cross_samples,
     min_value,
-    multi_zero_samples,
     on_cross,
 )
 from simplexboundary.pl1d import phi_n0, pl_compose, pl_eval, sigma_polygon
@@ -42,6 +40,7 @@ from simplexboundary.theta import (
     theta1_on_face,
 )
 
+from samplers import cross_samples, multi_zero_samples
 from test_pl1d import random_homeo
 
 
@@ -153,7 +152,7 @@ def test_criterion_4_lift_property_suite():
 
         # Fixed values: 0, 1/(n+1), 1, and fixed points of f never move.
         for f, lifted in zip(maps[:4], lifts[:4]):
-            specials = sorted({F(0), cval, F(1)} | set(f.fixed_points()))
+            specials = sorted({F(0), cval, F(1)} | {u for u, v in f.points if u == v})
             for v in specials:
                 rest = 1 - v
                 tail = [rest * F(m + 1, (n * (n + 1)) // 2) for m in range(n)]

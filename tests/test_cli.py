@@ -410,14 +410,14 @@ def test_config_bad_integer_exits_two(tmp_path, capsys):
 def test_eval_past_dimension_cap_exits_two(capsys):
     code, _, stderr = run(capsys, "eval", "--map", "theta:L=1,n=9,i=1", "--point", "[1,0,0,0,0,0,0,0,0,0]")
     assert code == 2
-    assert "dimension 6" in stderr
+    assert "dimension 8" in stderr
 
 
 def test_levels_past_dimension_cap_exit_two(capsys):
-    code, _, stderr = run(capsys, "verify-equations", "--n", "7", "--L", "1")
-    assert code == 2 and "dimension 6" in stderr
-    code, _, stderr = run(capsys, "verify-boundary", "--n", "8", "--m", "9,4")
-    assert code == 2 and "dimension 6" in stderr
+    code, _, stderr = run(capsys, "verify-equations", "--n", "9", "--L", "1")
+    assert code == 2 and "dimension 8" in stderr
+    code, _, stderr = run(capsys, "verify-boundary", "--n", "10", "--m", "9,4")
+    assert code == 2 and "dimension 8" in stderr
 
 
 def test_n_max_below_n_exits_two(capsys):

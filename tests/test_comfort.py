@@ -20,14 +20,10 @@ from simplexboundary.comfort import (
 from simplexboundary.geometry import (
     BaryPoint,
     apply_perm,
-    boundary_samples,
     canonical_grid,
     center,
-    cross_samples,
     format_point,
-    layer_samples,
     min_value,
-    multi_zero_samples,
     on_cross,
     project_boundary,
     project_layer,
@@ -35,6 +31,8 @@ from simplexboundary.geometry import (
 )
 from simplexboundary.pl1d import (
     CrossMismatch,
+    NonMonotone,
+    _tau_breakpoints,
     identity_map,
     phi_n0,
     pl_compose,
@@ -42,11 +40,13 @@ from simplexboundary.pl1d import (
     pl_inverse,
     polygon,
     sigma_polygon,
+    tau_at,
     tau_polygon,
 )
 
-from test_geometry import assert_exactly, coprime_points, lattice_points
-from test_pl1d import outcome, pl_homeos, random_homeo, reference_pl_eval
+from samplers import boundary_samples, cross_samples, layer_samples, multi_zero_samples
+from test_geometry import PRIMES, assert_exactly, coprime_points, lattice_points
+from test_pl1d import boundary_points, outcome, pl_homeos, random_homeo, reference_pl_eval
 
 
 def small_grid(n, k=12):
@@ -109,7 +109,7 @@ def test_lift_fixes_center_and_special_values():
         lifted = lambda_lift(f, n)
         assert lifted(center(n)) == center(n)
         # Coordinates equal to 0, 1/(n+1), 1 or a fixed point of f stay put.
-        fixed_vals = {F(0), F(1, n + 1), F(1)} | set(f.fixed_points())
+        fixed_vals = {F(0), F(1, n + 1), F(1)} | {u for u, v in f.points if u == v}
         for v in sorted(fixed_vals):
             rest = 1 - v
             coords = [v] + [rest * F(m + 1, n * (n + 1) // 2 + n) for m in range(n)]
@@ -459,6 +459,58 @@ def test_boundary_extension_matches_reference(n):
     reference = reference_boundary_extension(rotate, F(0), F(0), n)
     assert_same_map(rotated, reference, reference)
     assert CrossMismatch in {outcome(rotated, x)[0] for x in small_grid(n)}
+
+
+def test_boundary_extension_order_failure_matches_reference():
+    # The boundary map keeps every zero and every 1/8 in its slot but
+    # reverses the order of the coordinates strictly between them, so tau's
+    # outputs descend where its inputs ascend.  It is its own inverse.
+    n, alpha = 3, F(1, 8)
+
+    def unorder(y):
+        slots = sorted((m for m in range(n + 1) if 0 < y[m] < alpha), key=y.__getitem__)
+        out = list(y)
+        for m, r in zip(slots, reversed(slots)):
+            out[m] = y[r]
+        return BaryPoint(out)
+
+    homeo = extend_from_boundary(unorder, alpha, alpha, n, phi_inverse=unorder)
+    reference = reference_boundary_extension(unorder, alpha, alpha, n)
+    assert_same_map(homeo, reference, reference)
+    x = segment_eval(center(n), BaryPoint([0, F(1, 20), F(1, 10), F(17, 20)]), F(1, 2))
+    got = outcome(homeo, x)
+    assert got[0] is NonMonotone and got[1].startswith("outputs not strictly increasing")
+    assert got == outcome(reference, x) == outcome(homeo.inverse_at, x)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_boundary_extension_matches_reference_on_random_lifts(data):
+    # The boundary extension of a random lift, at a point with large-prime
+    # denominators: either any point, or one on the ray over a boundary
+    # point with coordinates on and below the cross.
+    n = data.draw(st.integers(1, 4))
+    cval = F(1, n + 1)
+    f = data.draw(pl_homeos(cval))
+    alpha = cval * F(data.draw(st.integers(0, 47)), 48)
+    beta = pl_eval(f, alpha)
+    lift = lambda_lift(f, n)
+    homeo = extend_from_boundary(lift, alpha, beta, n, phi_inverse=lift.inverse_at)
+    b = data.draw(boundary_points(n, alpha))
+    q = data.draw(st.sampled_from(PRIMES))
+    t = F(data.draw(st.integers(1, q - 1)), q)
+    for x in (data.draw(coprime_points(n)), segment_eval(center(n), b, t)):
+        assert outcome(homeo, x) == outcome(reference_boundary_extension(lift, alpha, beta, n), x)
+        reference_inverse = reference_boundary_extension(lift.inverse_at, beta, alpha, n)
+        assert outcome(homeo.inverse_at, x) == outcome(reference_inverse, x)
+    # tau_at against the polygon at every breakpoint and between any two,
+    # with the parameter also unreduced, as the ray passes it.
+    c = lift(b)
+    tau = tau_polygon(b, c, alpha, beta)
+    inputs = [F(u, du) for u, du, _, _ in _tau_breakpoints(b, c, alpha, beta)]
+    for s in inputs + [(u0 + u1) / 2 for u0, u1 in zip(inputs, inputs[1:])]:
+        for scale in (1, data.draw(st.sampled_from(PRIMES))):
+            assert tau_at(b, c, alpha, beta, s.numerator * scale, s.denominator * scale) == pl_eval(tau, s)
 
 
 def test_counterexample_matches_reference():

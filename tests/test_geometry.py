@@ -14,15 +14,11 @@ from simplexboundary.geometry import (
     DEFAULT_SEED,
     DimensionMismatch,
     apply_perm,
-    boundary_samples,
     canonical_grid,
     center,
-    cross_samples,
     format_point,
     format_rational,
-    layer_samples,
     min_value,
-    multi_zero_samples,
     on_boundary,
     on_cross,
     parse_point,
@@ -34,6 +30,8 @@ from simplexboundary.geometry import (
     sponge_points,
     vertex,
 )
+
+from samplers import boundary_samples, cross_samples, layer_samples, multi_zero_samples
 
 
 def test_barypoint_validation():

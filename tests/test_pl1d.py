@@ -24,6 +24,7 @@ from simplexboundary.pl1d import (
     polygon,
     restrict,
     sigma_polygon,
+    tau_at,
     tau_polygon,
 )
 
@@ -415,6 +416,11 @@ def test_tau_polygon_derived_breakpoint():
     tau = tau_polygon(b, c, F(1, 6), F(1, 7))
     assert (F(1, 2), F(3, 7)) in tau.points
     assert pl_eval(tau, F(1, 2)) == F(3, 7)
+    # tau_at reads the same value off the breakpoints, from an unreduced
+    # parameter, and refuses one outside [0, 1].
+    assert tau_at(b, c, F(1, 6), F(1, 7), 3, 6) == F(3, 7)
+    for p, q, shown in ((3, 2, "3/2"), (-1, 4, "-1/4")):
+        assert outcome(tau_at, b, c, F(1, 6), F(1, 7), p, q) == (OutOfDomain, f"{shown} outside [0, 1]")
 
 
 def test_tau_polygon_degenerate_breakpoint_at_origin():
@@ -435,6 +441,7 @@ def test_tau_polygon_cross_mismatch():
 
 
 def test_fixed_points():
-    assert kappa().fixed_points() == (F(0), F(1))
+    # The breakpoints a map fixes, both endpoints included when fixed.
+    assert [u for u, v in kappa().points if u == v] == [0, 1]
     g = polygon([(0, 0), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 3)), (1, 1)])
-    assert g.fixed_points() == (F(0), F(1, 4), F(1))
+    assert [u for u, v in g.points if u == v] == [0, F(1, 4), 1]

@@ -23,16 +23,15 @@ from simplexboundary.comfort import (
 )
 from simplexboundary.geometry import (
     BaryPoint,
-    boundary_samples,
     center,
-    cross_samples,
     format_point,
-    layer_samples,
     random_rational_points,
     vertex,
 )
 from simplexboundary.pl1d import phi_n0, sigma_polygon
-from simplexboundary.theta import ThetaKey, theta
+from simplexboundary.theta import THETA1_DIM_CAP, ThetaKey, theta
+
+from samplers import boundary_samples, cross_samples, layer_samples
 
 REPORTS = {
     ("verify-boundary", "--m", "9,4", "--n", "2", "--n-max", "3"):
@@ -139,8 +138,8 @@ def _zero_layer(n):
     return extend_from_layer(lift, 0, 0, n, lift.inverse_at)
 
 
-def _theta1_maps():
-    for n in range(1, 7):
+def _theta1_maps(top=THETA1_DIM_CAP):
+    for n in range(1, top + 1):
         yield f"theta:L=1,n={n},i=1", theta(ThetaKey(1, n, 1)), (F(1, 2 * (n + 1)),)
 
 
@@ -205,6 +204,10 @@ TRANSCRIPTS = {
     "theta:L=1,n=4,i=1": "633298e75b2939a4b03774fc58efbda423688e99341269e25395deabf6e5d86c",
     "theta:L=1,n=5,i=1": "6f2799bc7711051b62259dde8d0cd21380ada000987b975dcf837137f79cdc26",
     "theta:L=1,n=6,i=1": "cd0f66b5608623bd8d62bb69c4d37eacf13e3d66dbc3bef71a10a97d2e791c5b",
+    # Recorded when the dimension cap was raised from 6 to 8, with the
+    # code of that time and only its cap changed.
+    "theta:L=1,n=7,i=1": "f0dade5a9a5b808d7475619f3d9df9c7592e091dd2810e0c742f36ed077199b8",
+    "theta:L=1,n=8,i=1": "e6d1263e06d1e5dc78fa05bafb7de48c390e2258a928bed132d007d0543d5b06",
 }
 
 
@@ -231,6 +234,6 @@ FORWARD_TRANSCRIPTS = {
 def test_theta1_forward_transcripts():
     digests = {
         name: hashlib.sha256(transcript(homeo, levels, inverse=False).encode("utf-8")).hexdigest()
-        for name, homeo, levels in _theta1_maps()
+        for name, homeo, levels in _theta1_maps(6)
     }
     assert digests == FORWARD_TRANSCRIPTS

@@ -11,12 +11,9 @@ from simplexboundary.geometry import (
     BaryPoint,
     format_rational,
     apply_perm,
-    boundary_samples,
     canonical_grid,
     center,
-    cross_samples,
     min_value,
-    multi_zero_samples,
     on_cross,
     vertex,
 )
@@ -34,6 +31,7 @@ from simplexboundary.theta import (
     theta1_on_face,
 )
 
+from samplers import boundary_samples, cross_samples, multi_zero_samples
 from test_comfort import points
 from test_geometry import assert_exactly, assert_same_outcome, coprime_points, lattice_points
 
@@ -147,6 +145,32 @@ def test_face_maps_match_fraction_formulas_errors_included(data):
     assert_same_outcome(face_delete, reference_face_delete, key, y)
 
 
+@st.composite
+def shared_factor_points(draw, n, K):
+    """A point over D = K**e * s, e <= 3: for e > 0 its denominator shares
+    every prime of K, so the gcd of a face insertion can reach its bound."""
+    D = K ** draw(st.integers(0, 3)) * draw(st.sampled_from((1, 2, 3, 10_007)))
+    cuts = sorted(draw(st.lists(st.integers(0, D), min_size=n, max_size=n)))
+    return BaryPoint([hi - lo for lo, hi in zip([0] + cuts, cuts + [D])], D)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_face_insert_gcd_bound_changes_no_point(data):
+    # face_insert seeds the gcd with K*(K-i); the unbounded construction of
+    # the same numerators over the same denominator gives the same point.
+    L = data.draw(st.integers(0, 3))
+    n = data.draw(st.integers(1, 7))
+    i = data.draw(st.integers(0, L))
+    key = FaceMap(L, n, i, data.draw(st.integers(0, n)))
+    K = key.denominator
+    x = data.draw(coprime_points(n - 1) | lattice_points(n - 1) | shared_factor_points(n - 1, K))
+    nums = [xm * (K - i) for xm in x.nums]
+    nums.insert(key.j, i * x.den)
+    bounded, unbounded = face_insert(key, x), BaryPoint(nums, x.den * K)
+    assert (bounded.nums, bounded.den) == (unbounded.nums, unbounded.den)
+
+
 def test_face_insert_respects_permutations():
     # Permuting the inputs permutes the non-inserted outputs identically.
     key = FaceMap(1, 3, 1, 1)
@@ -225,8 +249,8 @@ def test_built_theta1_looks_up_no_theta(monkeypatch):
 
 
 def test_theta_dim_cap():
-    with pytest.raises(ValueError, match="up to dimension 6"):
-        theta(ThetaKey(1, 7, 1))
+    with pytest.raises(ValueError, match="up to dimension 8"):
+        theta(ThetaKey(1, 9, 1))
 
 
 # ---------------------------------------------------------------------------
