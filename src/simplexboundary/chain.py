@@ -41,7 +41,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .comfort import SimplexHomeo
 from .geometry import BaryPoint, format_point
-from .theta import FaceMap, ThetaKey, UnsupportedL, face_insert, theta
+from .theta import FaceMap, ThetaKey, check_family, face_insert, theta
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +195,7 @@ def boundary(c: Chain, m: CoefficientTuple) -> Chain:
     ``_face_summands``.  Dimension-0 chains bound to the zero chain by
     definition.
     """
-    if m.L > 1:
-        raise UnsupportedL(f"no Θ family for L={m.L}")
+    check_family(m.L)
     n = c.dim
     if n == 0:
         return Chain(-1, ())
@@ -272,8 +271,8 @@ def check_equation(
 
     A point that a side rejects (any ``ValueError`` raised while
     evaluating, such as a point-validation or face-slot failure) becomes
-    a witness carrying the exception in ``detail``.  A Θ map that cannot
-    be constructed, such as one past the dimension cap, raises instead,
+    a witness carrying the exception in ``detail``.  A Θ map that is not
+    built (see ``theta.check_family``) raises ``UnsupportedL`` instead,
     before any point is evaluated.
     """
     if n < 1:
@@ -281,7 +280,7 @@ def check_equation(
     weights = CoefficientTuple([1] * (L + 1))  # the weights do not enter the maps
     summands = {key: term for key, _, term in _double_boundary(identity_term(n + 1), weights)}
     for term in summands.values():  # every summand is a side of exactly one instance
-        term.steps  # resolve the Θ maps before the loop: one past the cap raises here
+        term.steps  # resolve the Θ maps before the loop: one that is not built raises here
     values: ThetaValues = {}
     grid_meta = {**(grid_meta or {}), "size": len(grid)}  # a copy: the caller's dict stays as it is
     results = []
@@ -368,8 +367,7 @@ def check_boundary_squared(
     of ``grid_meta`` plus the grid's size, as in ``check_equation``.
     """
     L = m.L
-    if L > 1:
-        raise UnsupportedL(f"no Θ family for L={L}")
+    check_family(L)
     d = c.dim
     if d < 1:
         raise ValueError("the double boundary needs chains of dimension >= 1")

@@ -44,7 +44,7 @@ from .geometry import (
     vertex,
 )
 from .homology_point import homology_table
-from .theta import THETA1_DIM_CAP, ThetaKey, face_insert, theta
+from .theta import ThetaKey, UnsupportedL, check_family, face_insert, theta
 
 
 class UsageError(ValueError):
@@ -147,22 +147,14 @@ def _grids(args, dims) -> Tuple[dict, List[List[BaryPoint]]]:
     return {"denominator": args.grid_denominator, "seed": args.seed}, grids
 
 
-def _check_family(L: int) -> None:
-    if L not in (0, 1):
-        raise UsageError(f"the homeomorphism family exists for L in {{0,1}}, got {L}")
-
-
 def _check_levels(args, L: int, theta_dim: int) -> None:
-    """Validate --n/--n-max; ``theta_dim`` is the top Θ dimension the run needs."""
+    """Validate --n/--n-max, then ask ``check_family`` for every Θ up to
+    ``theta_dim``, the top Θ dimension the run needs."""
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     if args.n_max < args.n:
         raise UsageError(f"--n-max {args.n_max} is below --n {args.n}")
-    if L == 1 and theta_dim > THETA1_DIM_CAP:
-        raise UsageError(
-            f"--n-max {args.n_max} needs Θ(1,{theta_dim},1); "
-            f"the inductive family is built up to dimension {THETA1_DIM_CAP}"
-        )
+    check_family(L, theta_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +162,6 @@ def _check_levels(args, L: int, theta_dim: int) -> None:
 
 
 def cmd_verify_equations(args) -> int:
-    _check_family(args.L)
     if args.n_max is None:
         args.n_max = args.n
     _check_levels(args, args.L, args.n_max)
@@ -195,7 +186,6 @@ def cmd_verify_boundary(args) -> int:
     m = _parse_m(args.m)
     if args.L is not None and args.L != m.L:
         raise UsageError(f"--L {args.L} contradicts the coefficient tuple of length {len(m)}")
-    _check_family(m.L)
     _check_levels(args, m.L, args.n_max - 1)
     runs = []
     dims = range(args.n, args.n_max + 1)
@@ -308,7 +298,7 @@ def _planar(x: BaryPoint):
 def _figure_segments(m: Optional[CoefficientTuple], alpha: Optional[Fraction]):
     segments = []
     if m is not None:
-        # The summands themselves: boundary() sorts, drops zero weights and rejects L > 1.
+        # The summands themselves: boundary() sorts, drops zero weights and rejects an L with no Θ.
         ends = [BaryPoint([1, 0]), BaryPoint([0, 1])]
         for _, weight, term in _face_summands(identity_term(2), m):
             a, b = (face_insert(term.faces[0], e) for e in ends)
@@ -379,7 +369,6 @@ def cmd_figure(args) -> int:
 
 def cmd_homology(args) -> int:
     m = _parse_m(args.m)
-    _check_family(m.L)
     if args.n_max < 0:
         raise UsageError("--n-max must be nonnegative")
     try:
@@ -456,7 +445,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         _settle_flags(args, defaults)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, UnsupportedL) as exc:  # a Θ that is not built is a usage error
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -86,12 +86,12 @@ class SimplexHomeo:
         self.label = label
 
     def __call__(self, x: BaryPoint) -> BaryPoint:
-        if len(x) != self.dim + 1:
+        if len(x.nums) != self.dim + 1:
             raise ValueError(f"{self.label} expects dimension {self.dim}, got {len(x) - 1}")
         return self._forward(x)
 
     def inverse_at(self, y: BaryPoint) -> BaryPoint:
-        if len(y) != self.dim + 1:
+        if len(y.nums) != self.dim + 1:
             raise ValueError(f"{self.label} expects dimension {self.dim}, got {len(y) - 1}")
         return self._inverse(y)
 

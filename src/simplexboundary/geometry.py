@@ -151,8 +151,8 @@ def parse_point(text: str) -> BaryPoint:
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    parts = [p for p in body.split(",") if p.strip()]
-    if not parts:
+    parts = body.split(",")
+    if not all(p.strip() for p in parts):  # an empty field, or no field at all
         raise ValueError(f"cannot parse point from {text!r}")
     return BaryPoint(parse_rational(p) for p in parts)
 
@@ -199,7 +199,7 @@ def apply_perm(x: BaryPoint, perm: Sequence[int]) -> BaryPoint:
 
 def segment_eval(a: BaryPoint, b: BaryPoint, t: Fraction) -> BaryPoint:
     """Exact convex combination ``t*a + (1-t)*b``; t=1 gives ``a``."""
-    if len(a) != len(b):
+    if len(a.nums) != len(b.nums):
         raise DimensionMismatch(f"segment endpoints have dims {len(a)-1} and {len(b)-1}")
     t = t if type(t) is Fraction else Fraction(t)
     p, q = t.numerator, t.denominator

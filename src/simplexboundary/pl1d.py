@@ -248,9 +248,9 @@ def _tau_breakpoints(b: BaryPoint, c: BaryPoint, alpha, beta) -> List[Tuple[int,
     compared by cross-multiplying; if the inputs or outputs do not strictly
     increase, ``_normalized`` finds the same segment and raises.
     """
-    if len(b) != len(c):
+    if len(b.nums) != len(c.nums):
         raise ValueError("boundary point and image have different dimensions")
-    k = len(b)
+    k = len(b.nums)
     alpha, beta = _exact(alpha), _exact(beta)
     pa, qa, pb, qb = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
     if not (0 <= pa and k * pa < qa and 0 <= pb and k * pb < qb):

@@ -16,8 +16,8 @@ homeomorphism that precomposes it inside the boundary operator:
   every member of the family carries an exact inverse.
 
 Maps are constructed once per key and cached with ``functools.cache``;
-after construction a map is read-only and safe to share.  The inductive
-family is built up to dimension ``THETA1_DIM_CAP`` and no further.
+after construction a map is read-only and safe to share.  ``check_family``
+says which Θ exist: L in {0, 1}, the inductive family up to ``THETA1_DIM_CAP``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .pl1d import kappa, phi_n0, restrict
 
 
 class UnsupportedL(ValueError):
-    """Only the families L = 0 and L = 1 are constructible."""
+    """A Θ that is not built: its L lies outside {0, 1}, or it is the
+    inductive Θ(1,n,1) past the dimension cap ``THETA1_DIM_CAP``."""
 
 
 class WrongSlotValue(ValueError):
@@ -52,6 +53,17 @@ class NotOnFace(ValueError):
 #: 3.11.7) the level 7 suite of ``verify-equations`` takes about 6 s and
 #: level 8 about 34 s.
 THETA1_DIM_CAP = 8
+
+
+def check_family(L: int, n: int = 0) -> None:
+    """Raise ``UnsupportedL`` unless every Θ(L, m, i) with m <= n is built;
+    the one test of which Θ exist, which every other module asks."""
+    if L not in (0, 1):
+        raise UnsupportedL(f"the homeomorphism family exists for L in {{0,1}}, got {L}")
+    if L == 1 and n > THETA1_DIM_CAP:
+        raise UnsupportedL(
+            f"Θ(1,{n},1) is past the cap: the inductive family is built up to dimension {THETA1_DIM_CAP}"
+        )
 
 
 @dataclass(frozen=True)
@@ -123,8 +135,7 @@ class ThetaKey:
     i: int
 
     def __post_init__(self):
-        if self.L not in (0, 1):
-            raise UnsupportedL(f"no construction for L={self.L}")
+        check_family(self.L)
         if self.n < 0:
             raise ValueError(f"negative dimension {self.n}")
         if not 0 <= self.i <= self.L:
@@ -152,11 +163,7 @@ def theta(key: ThetaKey) -> SimplexHomeo:
         # polygon, which restricts to a homeomorphism of [0, 1/2].
         homeo = lambda_lift(restrict(kappa(), 0, Fraction(1, 2)), 1)
     else:
-        if key.n > THETA1_DIM_CAP:
-            raise ValueError(
-                f"the inductive family Θ(1,n,1) is built up to dimension {THETA1_DIM_CAP}, "
-                f"not {key.n}"
-            )
+        check_family(key.L, key.n)
         homeo = theta1_full(key.n)
     homeo.label = key.map_id()
     return homeo

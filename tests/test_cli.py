@@ -8,9 +8,18 @@ from pathlib import Path
 import pytest
 
 from simplexboundary import chain, cli, homology_point
-from simplexboundary.chain import Chain
+from simplexboundary.chain import (
+    Chain,
+    CoefficientTuple,
+    boundary,
+    chain_of_term,
+    check_boundary_squared,
+    check_equation,
+    identity_term,
+)
 from simplexboundary.cli import main
 from simplexboundary.comfort import SimplexHomeo
+from simplexboundary.theta import ThetaKey, UnsupportedL, check_family, theta
 
 
 def run(capsys, *argv):
@@ -220,6 +229,14 @@ def test_entry_point_exit_codes(argv, code, stream, expected):
             "pi_alpha map id needs n and alpha: 'pi_alpha:n=x,alpha=0'",
         ),
         (["eval", "--map", "pi_alpha:n=1"], "pi_alpha map id needs n and alpha: 'pi_alpha:n=1'"),
+        (
+            ["eval", "--map", "theta:L=1,n=1,i=1", "--point", "[1/4,,3/4]"],
+            "cannot parse point '[1/4,,3/4]': cannot parse point from '[1/4,,3/4]'",
+        ),
+        (
+            ["eval", "--map", "theta:L=1,n=1,i=1", "--point", " , 1/4 , 3/4 , "],
+            "cannot parse point ' , 1/4 , 3/4 , ': cannot parse point from ' , 1/4 , 3/4 , '",
+        ),
     ],
 )
 def test_usage_errors_exit_two(argv, message, tmp_path, capsys):
@@ -428,6 +445,49 @@ def test_n_max_below_n_exits_two(capsys):
     assert code == 2
 
 
+WEIGHTS_L2 = CoefficientTuple([1, 1, 1])
+L2, CAP = (2, 0), (1, 9)  # the check_family arguments that name each missing Θ
+
+#: Every way to ask for a Θ that is not built: an L outside {0, 1}, or
+#: Θ(1,9,1) past the cap, through the package or through the CLI.
+FAMILY_ENTRY_POINTS = [
+    pytest.param(L2, lambda: ThetaKey(2, 1, 0), id="ThetaKey"),
+    pytest.param(L2, lambda: boundary(chain_of_term(identity_term(2)), WEIGHTS_L2), id="boundary"),
+    pytest.param(L2, lambda: check_equation(1, [], L=2), id="check_equation L=2"),
+    pytest.param(L2, lambda: check_boundary_squared(chain_of_term(identity_term(2)), WEIGHTS_L2, []),
+                 id="check_boundary_squared"),
+    pytest.param(CAP, lambda: theta(ThetaKey(1, 9, 1)), id="theta"),
+    pytest.param(CAP, lambda: check_equation(9, []), id="check_equation n=9"),
+] + [
+    pytest.param(family, argv, id=" ".join(argv[:3]))
+    for family, argv in [
+        (L2, ["verify-equations", "--L", "2"]),
+        (L2, ["verify-boundary", "--m", "1,1,1"]),
+        (L2, ["homology", "--m", "1,1,1"]),
+        (L2, ["eval", "--map", "theta:L=2,n=1,i=0", "--point", "[1/4,3/4]"]),
+        (CAP, ["verify-equations", "--n", "9"]),
+        (CAP, ["verify-boundary", "--m", "1,1", "--n", "10"]),
+        (CAP, ["eval", "--map", "theta:L=1,n=9,i=1", "--point", "[1,0,0,0,0,0,0,0,0,0]"]),
+    ]
+]
+
+
+@pytest.mark.parametrize("family, entry", FAMILY_ENTRY_POINTS)
+def test_every_entry_point_gives_the_family_message(family, entry, capsys):
+    # ``theta.check_family`` writes the one message; eval prefixes its map id.
+    with pytest.raises(UnsupportedL) as exc:
+        check_family(*family)
+    message = str(exc.value)
+    if callable(entry):
+        with pytest.raises(UnsupportedL) as exc:
+            entry()
+        assert str(exc.value) == message
+    else:
+        code, stdout, stderr = run(capsys, *entry)
+        prefix = f"bad theta map id {entry[2]!r}: " if entry[0] == "eval" else ""
+        assert (code, stdout, stderr) == (2, "", f"usage error: {prefix}{message}\n")
+
+
 def test_homology_unsupported_family_matches_verify_boundary(capsys):
     code, _, homology_err = run(capsys, "homology", "--m", "1,1,1")
     assert code == 2
@@ -573,7 +633,7 @@ def test_config_sets_every_optional_flag(command, required, flag, value, other, 
 
     by_flag = outcome([f"--{flag}", value], "")
     assert by_flag[0] == 0 and by_flag[2]
-    assert outcome([], f"{flag}={value}\n") == by_flag
+    assert outcome([], f"# {flag} from the file\n\n{flag}={value}\n") == by_flag  # comment and blank lines are skipped
     assert outcome([f"--{flag}", value], f"{flag}={other}\n") == by_flag
     assert not (tmp_path / "other").exists()
 

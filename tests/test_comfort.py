@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -594,6 +595,18 @@ def test_check_comfort_json_shape():
     assert data["map_id"] == "id1"
     assert data["n"] == 1
     assert data["violations"] == []
+    # Swapping the two coordinates respects permutations and is its own
+    # inverse, but reverses the order: one violation, serialized.
+    swap = lambda x: apply_perm(x, (1, 0))
+    report = check_comfort(SimplexHomeo(1, swap, swap, label="swap"), [BaryPoint([F(1, 4), F(3, 4)])])
+    assert json.loads(report.to_json_text()) == {
+        "map_id": "swap",
+        "n": 1,
+        "samples": 1,
+        "violations": [
+            {"kind": "order", "witness": "x=[1/4,3/4] slots=(0,1)", "expected": "y[0] <= y[1]", "actual": "[3/4,1/4]"}
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------

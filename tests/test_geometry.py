@@ -25,6 +25,7 @@ from simplexboundary.geometry import (
     parse_rational,
     project_boundary,
     project_layer,
+    random_rational_points,
     segment_eval,
     sort_perm,
     sponge_points,
@@ -533,6 +534,8 @@ def test_grids_are_deterministic():
 
 def test_grid_dimension_zero():
     assert canonical_grid(0) == [BaryPoint([1])]
+    assert sponge_points(0) == random_rational_points(0) == [BaryPoint([1])]
+    assert random_rational_points(0, count=0) == []
 
 
 def test_special_samplers():

@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and exports
+nothing that is dead."""
 
 import ast
 import sys
@@ -6,9 +7,25 @@ from pathlib import Path
 
 import simplexboundary
 
+PACKAGE = Path(simplexboundary.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+#: Exported names that no package code uses: the tests reach them, and
+#: README says why each stays public.
+TEST_REACHED = {
+    "check_comfort",
+    "extend_from_layer",
+    "min_value",
+    "on_boundary",
+    "on_cross",
+    "pl_compose",
+    "point_homology",
+    "tau_polygon",
+}
+
 
 def test_package_imports_only_the_standard_library():
-    paths = sorted(Path(simplexboundary.__file__).parent.glob("*.py"))
+    paths = sorted(PACKAGE.glob("*.py"))
     assert paths
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
@@ -20,3 +37,34 @@ def test_package_imports_only_the_standard_library():
                 continue  # relative imports stay inside the package
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def _used_by_package(name: str, home: str) -> bool:
+    """Whether package code uses ``name``, defined in module ``home``: ``home``
+    reads it outside its own definition, or another module imports it from
+    ``home``.  A local of the same name elsewhere is another object."""
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if path.stem == home:
+            definitions = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name]
+            inside = {id(node) for d in definitions for node in ast.walk(d)}
+            uses = (n for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+            if any(n.id == name and id(n) not in inside for n in uses):
+                return True
+        else:
+            imports = (n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 1)
+            if any(n.module == home and name in {alias.name for alias in n.names} for n in imports):
+                return True
+    return False
+
+
+def test_every_export_is_used_or_test_reached():
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exports = [(alias.name, node.module) for node in init.body if isinstance(node, ast.ImportFrom)
+               for alias in node.names]
+    assert len(exports) > len(TEST_REACHED)
+    assert {name for name, home in exports if not _used_by_package(name, home)} == TEST_REACHED
+    readme = README.read_text(encoding="utf-8")
+    assert [name for name in sorted(TEST_REACHED) if f"`{name}`" not in readme] == []

@@ -25,6 +25,7 @@ from simplexboundary.theta import (
     UnsupportedL,
     WrongSlotValue,
     _face_steps,
+    check_family,
     face_delete,
     face_insert,
     theta,
@@ -251,6 +252,23 @@ def test_built_theta1_looks_up_no_theta(monkeypatch):
 def test_theta_dim_cap():
     with pytest.raises(ValueError, match="up to dimension 8"):
         theta(ThetaKey(1, 9, 1))
+    # The cap binds only the inductive maps: lifts and L = 0 build past it.
+    assert theta(ThetaKey(1, 12, 0))(center(12)) == center(12)
+    assert theta(ThetaKey(0, 12, 0))(vertex(12, 3)) == vertex(12, 3)
+
+
+def test_check_family_says_which_theta_exist():
+    check_family(0, 100)
+    check_family(1, 8)
+    for args, message in [
+        ((2,), "the homeomorphism family exists for L in {0,1}, got 2"),
+        ((-1, 9), "the homeomorphism family exists for L in {0,1}, got -1"),
+        ((1, 9), "Θ(1,9,1) is past the cap: the inductive family is built up to dimension 8"),
+        ((1, 12), "Θ(1,12,1) is past the cap: the inductive family is built up to dimension 8"),
+    ]:
+        with pytest.raises(UnsupportedL) as exc:
+            check_family(*args)
+        assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
