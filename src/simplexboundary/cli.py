@@ -236,8 +236,10 @@ def _resolve_map(map_id: str) -> Tuple[int, PointMap]:
         try:
             n = int(params["n"])
             alpha = parse_rational(params["alpha"])
-        except (KeyError, ValueError) as exc:
+        except KeyError as exc:
             raise UsageError(f"pi_alpha map id needs n and alpha: {map_id!r}") from exc
+        except ValueError as exc:
+            raise UsageError(f"bad pi_alpha map id {map_id!r}: {exc}") from exc
         if n < 0:
             raise UsageError(f"pi_alpha dimension {n} must be nonnegative")
         if not 0 <= alpha <= Fraction(1, n + 1):
@@ -270,13 +272,7 @@ def cmd_eval(args) -> int:
     for point in points:
         if point.dim != dim:
             raise UsageError(f"map expects dimension {dim}, point has dimension {point.dim}")
-        try:
-            values.append(fn(point))
-        except UsageError:
-            raise
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        values.append(fn(point))
     if args.format == "csv" or len(points) > 1:
         lines = ["input,output"]
         lines += [f'"{format_point(x)}","{format_point(y)}"' for x, y in zip(points, values)]
@@ -371,11 +367,7 @@ def cmd_homology(args) -> int:
     m = _parse_m(args.m)
     if args.n_max < 0:
         raise UsageError("--n-max must be nonnegative")
-    try:
-        rows = homology_table(m, args.n_max)
-    except AssertionError as exc:  # a factor or module disagrees with its cross-check
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    rows = homology_table(m, args.n_max)
     text = "\n".join(f"{n}, {bnd}, {hn}" for n, bnd, hn in rows) + "\n"
     _write_or_print(text, args.out)
     return 0
@@ -448,6 +440,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (UsageError, UnsupportedL) as exc:  # a Θ that is not built is a usage error
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    # A map refused a valid point, or a factor or module disagrees with its cross-check.
+    except (ValueError, AssertionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,7 +16,7 @@ from simplexboundary.chain import (
     identity_term,
 )
 from simplexboundary.geometry import BaryPoint, canonical_grid, format_point
-from simplexboundary.theta import FaceMap, ThetaKey, UnsupportedL, face_insert
+from simplexboundary.theta import FaceMap, ThetaKey, face_insert
 
 
 def small_grid(n, k=8):
@@ -106,11 +106,6 @@ def test_double_boundary_as_formal_chain():
     assert len(listing) == 48
     digest = "cbddbc05afbf49a0297c84705f2720a8b84a1139c04ac6676ecd53625b85cbbe"
     assert hashlib.sha256(repr(listing).encode()).hexdigest() == digest
-
-
-def test_unsupported_coefficient_length():
-    with pytest.raises(UnsupportedL):
-        boundary(chain_of_term(identity_term(2)), CoefficientTuple([1, 1, 1]))
 
 
 # ---------------------------------------------------------------------------

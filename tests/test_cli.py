@@ -28,6 +28,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+POINT = ("--point", "[1/4,3/4]")
+THETA_MAP = ("eval", "--map", "theta:L=1,n=1,i=1")
+EVAL_ONE_POINT = (*THETA_MAP, *POINT)
+
+
 def test_verify_equations_small(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, stdout, _ = run(
@@ -97,6 +102,11 @@ def test_eval_projection(capsys):
     )
     assert code == 0
     assert stdout.strip() == "[0,1/3,2/3]"
+    # The center is in the domain of the projection onto the center itself.
+    code, stdout, _ = run(
+        capsys, "eval", "--map", "pi_alpha:n=2,alpha=1/3", "--point", "[1/3,1/3,1/3]"
+    )
+    assert (code, stdout) == (0, "[1/3,1/3,1/3]\n")
 
 
 def test_eval_transcript_csv(capsys):
@@ -113,64 +123,6 @@ def test_eval_transcript_csv(capsys):
     ]
 
 
-def test_eval_bad_point_is_usage_error(capsys):
-    code, _, stderr = run(capsys, "eval", "--map", "theta:L=1,n=1,i=0", "--point", "[oops]")
-    assert code == 2
-    assert "usage error" in stderr
-
-
-def test_eval_zero_denominator_is_usage_error(capsys):
-    code, _, stderr = run(capsys, "eval", "--map", "theta:L=1,n=1,i=1", "--point", "[1/0,1]")
-    assert code == 2 and "usage error" in stderr and "zero denominator" in stderr
-
-
-def test_figure_zero_denominator_is_usage_error(capsys):
-    code, _, stderr = run(capsys, "figure", "--m", "9,4", "--alpha", "1/0")
-    assert code == 2 and "usage error" in stderr and "zero denominator" in stderr
-
-
-def test_eval_bad_map_ids(capsys):
-    code, _, stderr = run(capsys, "eval", "--map", "theta:L=2,n=1,i=0", "--point", "[1]")
-    assert code == 2
-    code, _, stderr = run(capsys, "eval", "--map", "pi_alpha:n=2,alpha=1/2", "--point", "[1,0,0]")
-    assert code == 2
-    code, _, stderr = run(capsys, "eval", "--map", "pi_alpha:n=-1,alpha=0", "--point", "[1]")
-    assert (code, stderr) == (2, "usage error: pi_alpha dimension -1 must be nonnegative\n")
-    code, _, stderr = run(capsys, "eval", "--map", "mystery:n=1", "--point", "[1]")
-    assert code == 2
-    for map_id, point, message in (
-        ("theta:L=1,n=1,i=1,foo=2", "[1/4,3/4]", "unknown map parameter 'foo'"),
-        ("pi_alpha:n=1,alpha=1/4,beta=3", "[1/4,3/4]", "unknown map parameter 'beta'"),
-        ("counterexample:x=1", "[0,1/8,7/8]", "unknown map parameter 'x'"),
-        ("theta:L=1,n=1,i=1,n=2", "[1/4,3/4]", "repeated map parameter 'n'"),
-    ):
-        code, stdout, stderr = run(capsys, "eval", "--map", map_id, "--point", point)
-        assert (code, stdout) == (2, "")
-        assert stderr == f"usage error: {message} in {map_id!r}\n"
-
-
-def test_eval_dimension_violation(capsys):
-    # A point of the wrong dimension is a usage error, not a violation.
-    code, stdout, stderr = run(
-        capsys, "eval", "--map", "theta:L=1,n=1,i=1", "--point", "[1/3,1/3,1/3]"
-    )
-    assert (code, stdout) == (2, "")
-    assert stderr == "usage error: map expects dimension 1, point has dimension 2\n"
-
-
-def test_eval_projection_at_the_center_is_usage_error(capsys):
-    code, stdout, stderr = run(
-        capsys, "eval", "--map", "pi_alpha:n=2,alpha=0", "--point", "[1/3,1/3,1/3]"
-    )
-    assert (code, stdout) == (2, "")
-    assert stderr == "usage error: projection to layer 0 undefined at the center\n"
-    # The center is in the domain of the projection onto the center itself.
-    code, stdout, _ = run(
-        capsys, "eval", "--map", "pi_alpha:n=2,alpha=1/3", "--point", "[1/3,1/3,1/3]"
-    )
-    assert (code, stdout) == (0, "[1/3,1/3,1/3]\n")
-
-
 def test_eval_map_failure_at_a_valid_point_exits_one(capsys, monkeypatch):
     def refuse(x):
         raise ValueError("no image here")
@@ -179,6 +131,32 @@ def test_eval_map_failure_at_a_valid_point_exits_one(capsys, monkeypatch):
     code, stdout, stderr = run(capsys, "eval", "--map", "theta:L=1,n=1,i=1", "--point", "[1/4,3/4]")
     assert (code, stdout) == (1, "")
     assert stderr == "error: no image here\n"
+
+
+def raising(kind):
+    def stand_in(*args, **kwargs):
+        raise kind("boom")
+    return stand_in
+
+
+@pytest.mark.parametrize(
+    "argv, name, stand_in",
+    [
+        (["verify-equations"], "check_equation", raising(ValueError)),
+        (["verify-boundary"], "check_boundary_squared", raising(ValueError)),
+        (EVAL_ONE_POINT, "theta", lambda key: SimplexHomeo(key.n, raising(ValueError), raising(ValueError))),
+        (["figure", "--m", "9,4"], "_figure_segments", raising(ValueError)),
+        (["homology"], "homology_table", raising(ValueError)),
+        (["homology"], "homology_table", raising(AssertionError)),
+    ],
+    ids=["verify-equations", "verify-boundary", "eval", "figure", "homology ValueError", "homology AssertionError"],
+)
+def test_every_command_exits_one_on_a_raised_failure(argv, name, stand_in, tmp_path, capsys, monkeypatch):
+    # main alone turns a failure that is not a usage error into exit 1.
+    monkeypatch.setattr(cli, name, stand_in)
+    out = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(out)) == (1, "", "error: boom\n")
+    assert not out.exists()
 
 
 def test_bad_flags_exit_two():
@@ -209,6 +187,20 @@ def test_entry_point_exit_codes(argv, code, stream, expected):
     assert "Traceback" not in proc.stderr
 
 
+def check_usage_error(argv, message, tmp_path, capsys):
+    """Assert that ``argv`` exits 2 with nothing on stdout and exactly
+    ``usage error: message`` on stderr.  A bytes item of ``argv`` is the
+    text of a config file and is passed as the file's path; CONFIG in
+    ``message`` stands for that path."""
+    config = tmp_path / "run.cfg"
+    argv = list(argv)
+    for index, arg in enumerate(argv):
+        if isinstance(arg, bytes):
+            config.write_bytes(arg)
+            argv[index] = str(config)
+    assert run(capsys, *argv) == (2, "", f"usage error: {message.replace('CONFIG', str(config))}\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -221,39 +213,156 @@ def test_entry_point_exit_codes(argv, code, stream, expected):
             ["verify-boundary", "--m", "9,x"],
             "cannot parse coefficient tuple '9,x': invalid literal for int() with base 10: 'x'",
         ),
-        (["homology", "--config", "CONFIG"], "config line without '=': 'n 2'"),
-        (["eval", "--map", "theta:L=1,n"], "bad map parameter 'n' in 'theta:L=1,n'"),
-        (["eval", "--map", "theta:L=1"], "theta map id needs L, n, i: 'theta:L=1'"),
+        (["homology", "--config", b"n 2\n"], "config line without '=': 'n 2'"),
+        (["eval", "--map", "theta:L=1,n", *POINT], "bad map parameter 'n' in 'theta:L=1,n'"),
+        (["eval", "--map", "theta:L=1", *POINT], "theta map id needs L, n, i: 'theta:L=1'"),
         (
-            ["eval", "--map", "pi_alpha:n=x,alpha=0"],
-            "pi_alpha map id needs n and alpha: 'pi_alpha:n=x,alpha=0'",
+            ["eval", "--map", "pi_alpha:n=x,alpha=0", *POINT],
+            "bad pi_alpha map id 'pi_alpha:n=x,alpha=0': invalid literal for int() with base 10: 'x'",
         ),
-        (["eval", "--map", "pi_alpha:n=1"], "pi_alpha map id needs n and alpha: 'pi_alpha:n=1'"),
+        (["eval", "--map", "pi_alpha:n=1", *POINT], "pi_alpha map id needs n and alpha: 'pi_alpha:n=1'"),
         (
-            ["eval", "--map", "theta:L=1,n=1,i=1", "--point", "[1/4,,3/4]"],
+            ["eval", "--map", "theta:L=1,n=1,i=1", "--point", "[1/4,,3/4]", *POINT],
             "cannot parse point '[1/4,,3/4]': cannot parse point from '[1/4,,3/4]'",
         ),
         (
-            ["eval", "--map", "theta:L=1,n=1,i=1", "--point", " , 1/4 , 3/4 , "],
+            ["eval", "--map", "theta:L=1,n=1,i=1", "--point", " , 1/4 , 3/4 , ", *POINT],
             "cannot parse point ' , 1/4 , 3/4 , ': cannot parse point from ' , 1/4 , 3/4 , '",
+        ),
+        (
+            ["eval", "--map", "pi_alpha:n=1,alpha=1/0", *POINT],
+            "bad pi_alpha map id 'pi_alpha:n=1,alpha=1/0': zero denominator in '1/0'",
         ),
     ],
 )
 def test_usage_errors_exit_two(argv, message, tmp_path, capsys):
-    config = tmp_path / "run.cfg"
-    config.write_text("n 2\n")
-    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
-    if argv[0] == "eval":
-        argv += ["--point", "[1/4,3/4]"]
-    code, stdout, stderr = run(capsys, *argv)
-    assert (code, stdout, stderr) == (2, "", f"usage error: {message}\n")
+    check_usage_error(argv, message, tmp_path, capsys)
 
 
-def test_unsupported_family_exits_two(capsys):
-    code, _, stderr = run(capsys, "verify-equations", "--n", "1", "--L", "2")
-    assert code == 2 and "L" in stderr
-    code, _, stderr = run(capsys, "verify-boundary", "--n", "2", "--m", "1,1,1")
-    assert code == 2
+def usage_errors(*rows):
+    """A test that runs ``check_usage_error`` on each ``(argv, message)``
+    row, in order."""
+    def test(tmp_path, capsys):
+        for argv, message in rows:
+            check_usage_error(argv, message, tmp_path, capsys)
+    return test
+
+
+# One named test per usage-error contract; check_usage_error checks each of
+# its rows exactly.
+FAMILY_L2 = "the homeomorphism family exists for L in {0,1}, got 2"
+CAP_9 = "Θ(1,9,1) is past the cap: the inductive family is built up to dimension 8"
+
+test_eval_bad_point_is_usage_error = usage_errors(
+    (["eval", "--map", "theta:L=1,n=1,i=0", "--point", "[oops]"],
+     "cannot parse point '[oops]': Invalid literal for Fraction: 'oops'"),
+)
+test_eval_zero_denominator_is_usage_error = usage_errors(
+    ([*THETA_MAP, "--point", "[1/0,1]"], "cannot parse point '[1/0,1]': zero denominator in '1/0'"),
+)
+test_eval_bad_map_ids = usage_errors(
+    (["eval", "--map", "theta:L=2,n=1,i=0", "--point", "[1]"], f"bad theta map id 'theta:L=2,n=1,i=0': {FAMILY_L2}"),
+    (["eval", "--map", "pi_alpha:n=2,alpha=1/2", "--point", "[1,0,0]"], "pi_alpha level 1/2 outside [0, 1/3]"),
+    (["eval", "--map", "pi_alpha:n=-1,alpha=0", "--point", "[1]"], "pi_alpha dimension -1 must be nonnegative"),
+    (["eval", "--map", "mystery:n=1", "--point", "[1]"], "unknown map id 'mystery:n=1'"),
+    (["eval", "--map", "theta:L=1,n=1,i=1,foo=2", *POINT],
+     "unknown map parameter 'foo' in 'theta:L=1,n=1,i=1,foo=2'"),
+    (["eval", "--map", "pi_alpha:n=1,alpha=1/4,beta=3", *POINT],
+     "unknown map parameter 'beta' in 'pi_alpha:n=1,alpha=1/4,beta=3'"),
+    (["eval", "--map", "counterexample:x=1", "--point", "[0,1/8,7/8]"],
+     "unknown map parameter 'x' in 'counterexample:x=1'"),
+    (["eval", "--map", "theta:L=1,n=1,i=1,n=2", *POINT], "repeated map parameter 'n' in 'theta:L=1,n=1,i=1,n=2'"),
+)
+# A point of the wrong dimension is a usage error, not a violation.
+test_eval_dimension_violation = usage_errors(
+    ([*THETA_MAP, "--point", "[1/3,1/3,1/3]"], "map expects dimension 1, point has dimension 2"),
+)
+test_eval_projection_at_the_center_is_usage_error = usage_errors(
+    (["eval", "--map", "pi_alpha:n=2,alpha=0", "--point", "[1/3,1/3,1/3]"],
+     "projection to layer 0 undefined at the center"),
+)
+test_eval_unknown_format_flag_exits_two = usage_errors(
+    ([*EVAL_ONE_POINT, "--format", "bogus"], "eval format must be csv, got 'bogus'"),
+)
+# The command line always sets a required flag, so a config key for it
+# could never take effect.
+test_eval_config_keys_of_required_flags_exit_two = usage_errors(
+    ([*EVAL_ONE_POINT, "--config", b"map=bogus\n"], "unknown config key 'map'"),
+    ([*EVAL_ONE_POINT, "--config", b"point=[1/2,1/2]\n"], "unknown config key 'point'"),
+)
+test_eval_unknown_format_in_config_exits_two = usage_errors(
+    ([*EVAL_ONE_POINT, "--config", b"format=bogus\n"], "eval format must be csv, got 'bogus'"),
+)
+test_eval_past_dimension_cap_exits_two = usage_errors(
+    (["eval", "--map", "theta:L=1,n=9,i=1", "--point", "[1,0,0,0,0,0,0,0,0,0]"],
+     f"bad theta map id 'theta:L=1,n=9,i=1': {CAP_9}"),
+)
+
+test_figure_zero_denominator_is_usage_error = usage_errors(
+    (["figure", "--m", "9,4", "--alpha", "1/0"], "cannot parse cross level '1/0': zero denominator in '1/0'"),
+)
+test_figure_requires_content = usage_errors((["figure"], "nothing to draw: pass --m and/or --alpha"))
+test_figure_rejects_other_dimensions = usage_errors(
+    (["figure", "--m", "1,1", "--n", "3"], "figure export is planar and needs dimension 2"),
+)
+
+test_unknown_config_key = usage_errors((["homology", "--config", b"bogus=1\n"], "unknown config key 'bogus'"))
+# The parsed arguments also hold the command, its function and the config
+# path; a config file sets none of them.
+test_config_keys_that_mirror_no_flag_are_unknown = usage_errors(*(
+    (["homology", "--m", "9,4", "--n-max", "1", "--config", text], f"unknown config key {key!r}")
+    for key, text in (("func", b"func=1\n"), ("command", b"command=x\n"), ("config", b"config=run.cfg\n"))
+))
+test_config_not_utf8_exits_two = usage_errors(
+    (["homology", "--m", "9,4", "--config", b"\xff\xfe m=9,4\n"],
+     "cannot read config file CONFIG: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+)
+test_config_bad_integer_exits_two = usage_errors(
+    (["verify-equations", "--config", b"n=abc\n"], "config key 'n': invalid literal for int() with base 10: 'abc'"),
+)
+
+test_unsupported_family_exits_two = usage_errors(
+    (["verify-equations", "--n", "1", "--L", "2"], FAMILY_L2),
+    (["verify-boundary", "--n", "2", "--m", "1,1,1"], FAMILY_L2),
+)
+test_levels_past_dimension_cap_exit_two = usage_errors(
+    (["verify-equations", "--n", "9", "--L", "1"], CAP_9),
+    (["verify-boundary", "--n", "10", "--m", "9,4"], CAP_9),
+)
+test_n_max_below_n_exits_two = usage_errors(
+    (["verify-equations", "--n", "3", "--n-max", "2"], "--n-max 2 is below --n 3"),
+    (["verify-boundary", "--n", "3", "--n-max", "2"], "--n-max 2 is below --n 3"),
+)
+test_homology_unsupported_family_matches_verify_boundary = usage_errors(
+    (["homology", "--m", "1,1,1"], FAMILY_L2),
+    (["verify-boundary", "--m", "1,1,1"], FAMILY_L2),
+)
+# Each grid is built before any level runs, so nothing reaches stdout.
+test_verify_equations_grid_denominator_too_small_exits_two = usage_errors(
+    (["verify-equations", "--L", "0", "--n", "1", "--n-max", "3", "--grid-denominator", "2"],
+     "--grid-denominator 2: denominator too small to host distinct coordinates"),
+)
+test_verify_boundary_grid_denominator_too_small_exits_two = usage_errors(
+    (["verify-boundary", "--m", "1", "--n", "3", "--grid-denominator", "1"],
+     "--grid-denominator 1: denominator too small to host distinct coordinates"),
+)
+# Six distinct numerators of a 5-dimensional grid point sum to at least 15.
+test_verify_equations_grid_denominator_below_numerator_sum_exits_two = usage_errors(
+    (["verify-equations", "--L", "0", "--n", "5", "--grid-denominator", "9"],
+     "--grid-denominator 9: denominator too small to host distinct coordinates"),
+)
+# The level-1 grid has dimension 0, so no grid construction would notice.
+test_verify_equations_nonpositive_grid_denominator_exits_two = usage_errors(
+    (["verify-equations", "--L", "0", "--n", "1", "--config", b"grid-denominator=0\n"],
+     "--grid-denominator 0 must be at least 1"),
+)
+test_verify_boundary_nonpositive_grid_denominator_exits_two = usage_errors(
+    (["verify-boundary", "--m", "1", "--n", "2", "--grid-denominator", "-5"],
+     "--grid-denominator -5 must be at least 1"),
+)
+test_verify_boundary_l_contradicting_m_exits_two = usage_errors(
+    (["verify-boundary", "--m", "9,4", "--L", "0"], "--L 0 contradicts the coefficient tuple of length 2"),
+)
 
 
 def test_verify_equations_classical_family(tmp_path, capsys):
@@ -295,16 +404,6 @@ def test_figure_svg_deterministic(tmp_path, capsys):
     assert run(capsys, "figure", "--m", "9,4", "--format", "svg", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().startswith("<svg")
-
-
-def test_figure_requires_content(capsys):
-    code, _, stderr = run(capsys, "figure")
-    assert code == 2
-
-
-def test_figure_rejects_other_dimensions(capsys):
-    code, _, stderr = run(capsys, "figure", "--m", "1,1", "--n", "3")
-    assert code == 2
 
 
 def test_homology_table(capsys):
@@ -351,32 +450,6 @@ def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
     assert len(stdout.splitlines()) == 2  # flag wins
 
 
-def test_unknown_config_key(tmp_path, capsys):
-    config = tmp_path / "run.cfg"
-    config.write_text("bogus=1\n")
-    code, _, stderr = run(capsys, "homology", "--config", str(config))
-    assert code == 2
-
-
-def test_config_keys_that_mirror_no_flag_are_unknown(tmp_path, capsys):
-    # The parsed arguments also hold the command, its function and the
-    # config path; a config file sets none of them.
-    config = tmp_path / "run.cfg"
-    for line in ("func=1", "command=x", f"config={config}"):
-        config.write_text(f"{line}\n")
-        code, stdout, stderr = run(capsys, "homology", "--m", "9,4", "--n-max", "1", "--config", str(config))
-        assert code == 2 and stdout == ""
-        assert f"unknown config key {line.partition('=')[0]!r}" in stderr
-
-
-def test_config_not_utf8_exits_two(tmp_path, capsys):
-    config = tmp_path / "run.cfg"
-    config.write_bytes(b"\xff\xfe m=9,4\n")
-    code, _, stderr = run(capsys, "homology", "--m", "9,4", "--config", str(config))
-    assert code == 2
-    assert "cannot read config file" in stderr
-
-
 def test_unwritable_out_exits_two(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir"
     code, _, stderr = run(capsys, "homology", "--m", "9,4", "--out", str(missing / "x"))
@@ -414,35 +487,6 @@ def test_identical_flags_identical_reports(tmp_path, capsys):
     assert run(capsys, *argv, "--out", str(a))[0] == 0
     assert run(capsys, *argv, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_config_bad_integer_exits_two(tmp_path, capsys):
-    config = tmp_path / "run.cfg"
-    config.write_text("n=abc\n")
-    code, _, stderr = run(capsys, "verify-equations", "--config", str(config))
-    assert code == 2
-    assert "usage error" in stderr and "'n'" in stderr
-
-
-def test_eval_past_dimension_cap_exits_two(capsys):
-    code, _, stderr = run(capsys, "eval", "--map", "theta:L=1,n=9,i=1", "--point", "[1,0,0,0,0,0,0,0,0,0]")
-    assert code == 2
-    assert "dimension 8" in stderr
-
-
-def test_levels_past_dimension_cap_exit_two(capsys):
-    code, _, stderr = run(capsys, "verify-equations", "--n", "9", "--L", "1")
-    assert code == 2 and "dimension 8" in stderr
-    code, _, stderr = run(capsys, "verify-boundary", "--n", "10", "--m", "9,4")
-    assert code == 2 and "dimension 8" in stderr
-
-
-def test_n_max_below_n_exits_two(capsys):
-    code, stdout, stderr = run(capsys, "verify-equations", "--n", "3", "--n-max", "2")
-    assert code == 2 and "--n-max 2 is below --n 3" in stderr
-    assert "0 instances" not in stdout
-    code, _, stderr = run(capsys, "verify-boundary", "--n", "3", "--n-max", "2")
-    assert code == 2
 
 
 WEIGHTS_L2 = CoefficientTuple([1, 1, 1])
@@ -488,98 +532,12 @@ def test_every_entry_point_gives_the_family_message(family, entry, capsys):
         assert (code, stdout, stderr) == (2, "", f"usage error: {prefix}{message}\n")
 
 
-def test_homology_unsupported_family_matches_verify_boundary(capsys):
-    code, _, homology_err = run(capsys, "homology", "--m", "1,1,1")
-    assert code == 2
-    code, _, boundary_err = run(capsys, "verify-boundary", "--m", "1,1,1")
-    assert code == 2
-    assert homology_err == boundary_err
-
-
 def test_format_only_where_it_selects_output():
     for command in ("verify-equations", "verify-boundary", "homology"):
         with pytest.raises(SystemExit) as exc:
             main([command, "--format", "csv"])
         assert exc.value.code == 2
 
-
-def test_verify_equations_grid_denominator_too_small_exits_two(capsys):
-    code, stdout, stderr = run(
-        capsys, "verify-equations", "--L", "0", "--n", "1", "--n-max", "3", "--grid-denominator", "2"
-    )
-    assert code == 2
-    assert "usage error: --grid-denominator 2" in stderr
-    assert stdout == ""  # rejected before any level runs
-
-
-def test_verify_boundary_grid_denominator_too_small_exits_two(capsys):
-    code, stdout, stderr = run(
-        capsys, "verify-boundary", "--m", "1", "--n", "3", "--grid-denominator", "1"
-    )
-    assert code == 2
-    assert "usage error: --grid-denominator 1" in stderr
-    assert stdout == ""
-
-
-def test_verify_equations_grid_denominator_below_numerator_sum_exits_two(capsys):
-    # Six distinct numerators of a 5-dimensional grid point sum to at least 15.
-    code, stdout, stderr = run(
-        capsys, "verify-equations", "--L", "0", "--n", "5", "--grid-denominator", "9"
-    )
-    assert code == 2
-    assert "usage error: --grid-denominator 9" in stderr
-    assert stdout == ""
-
-
-EVAL_ONE_POINT = ("eval", "--map", "theta:L=1,n=1,i=1", "--point", "[1/4,3/4]")
-
-
-def test_eval_unknown_format_flag_exits_two(capsys):
-    code, stdout, stderr = run(capsys, *EVAL_ONE_POINT, "--format", "bogus")
-    assert code == 2
-    assert "usage error: eval format must be csv, got 'bogus'" in stderr
-    assert stdout == ""
-
-
-def test_eval_config_keys_of_required_flags_exit_two(tmp_path, capsys):
-    # The command line always sets a required flag, so a config key for it
-    # could never take effect.
-    config = tmp_path / "run.cfg"
-    for line in ("map=bogus", "point=[1/2,1/2]"):
-        config.write_text(f"{line}\n")
-        code, stdout, stderr = run(capsys, *EVAL_ONE_POINT, "--config", str(config))
-        assert code == 2 and stdout == ""
-        assert f"usage error: unknown config key {line.partition('=')[0]!r}" in stderr
-
-
-def test_eval_unknown_format_in_config_exits_two(tmp_path, capsys):
-    config = tmp_path / "run.cfg"
-    config.write_text("format=bogus\n")
-    code, stdout, stderr = run(capsys, *EVAL_ONE_POINT, "--config", str(config))
-    assert code == 2
-    assert "usage error: eval format must be csv, got 'bogus'" in stderr
-    assert stdout == ""
-
-
-def test_verify_equations_nonpositive_grid_denominator_exits_two(tmp_path, capsys):
-    # The level-1 grid has dimension 0, so no grid construction would notice.
-    config = tmp_path / "run.cfg"
-    config.write_text("grid-denominator=0\n")
-    code, stdout, stderr = run(
-        capsys, "verify-equations", "--L", "0", "--n", "1", "--config", str(config)
-    )
-    assert code == 2
-    assert "usage error: --grid-denominator 0 must be at least 1" in stderr
-    assert stdout == ""
-
-
-def test_verify_boundary_nonpositive_grid_denominator_exits_two(capsys):
-    code, stdout, stderr = run(
-        capsys, "verify-boundary", "--m", "1", "--n", "2", "--grid-denominator", "-5"
-    )
-    assert code == 2
-    assert "usage error: --grid-denominator -5 must be at least 1" in stderr
-    assert stdout == ""
 
 
 #: One optional flag per case: the command, its required or content flags,
@@ -636,12 +594,6 @@ def test_config_sets_every_optional_flag(command, required, flag, value, other, 
     assert outcome([], f"# {flag} from the file\n\n{flag}={value}\n") == by_flag  # comment and blank lines are skipped
     assert outcome([f"--{flag}", value], f"{flag}={other}\n") == by_flag
     assert not (tmp_path / "other").exists()
-
-
-def test_verify_boundary_l_contradicting_m_exits_two(capsys):
-    code, stdout, stderr = run(capsys, "verify-boundary", "--m", "9,4", "--L", "0")
-    assert (code, stdout) == (2, "")
-    assert stderr == "usage error: --L 0 contradicts the coefficient tuple of length 2\n"
 
 
 def readme_examples():

@@ -207,11 +207,6 @@ def test_theta_level_zero_is_identity():
             assert t(x) == x
 
 
-def test_theta_unsupported_level():
-    with pytest.raises(UnsupportedL):
-        ThetaKey(2, 1, 0)
-
-
 def test_theta_base_values():
     assert theta(ThetaKey(1, 1, 0))(BaryPoint([F(1, 4), F(3, 4)])) == BaryPoint([F(1, 6), F(5, 6)])
     assert theta(ThetaKey(1, 1, 1))(BaryPoint([F(1, 4), F(3, 4)])) == BaryPoint([F(1, 5), F(4, 5)])
