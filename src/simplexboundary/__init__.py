@@ -32,7 +32,6 @@ from .pl1d import (
     PLMap,
     identity_map,
     kappa,
-    phi_n0,
     pl_compose,
     pl_eval,
     pl_inverse,
@@ -56,7 +55,6 @@ from .theta import (
     face_delete,
     face_insert,
     theta,
-    theta1_full,
     theta1_on_face,
 )
 from .chain import (

@@ -409,8 +409,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse error raises ``UsageError``, for ``main`` to report."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="simplex-boundary",
         description="Exact verification of the generalized simplicial boundary operator.",
     )
@@ -432,9 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    _, _, _, defaults = _COMMANDS[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        _, _, _, defaults = _COMMANDS[args.command]
         _settle_flags(args, defaults)
         return args.func(args)
     except (UsageError, UnsupportedL) as exc:  # a Θ that is not built is a usage error

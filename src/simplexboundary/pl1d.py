@@ -11,8 +11,8 @@ denominator C, so that f(t) = (a*t + b)/C there.
 At t = p/q the value is (a*p + b*q)/(C*q), reduced once.
 Besides the generic operations (evaluate, invert, compose) the module
 provides the named constructors used by the simplex homeomorphisms: the
-symmetric seed polygon ``kappa``, the ``phi_n0`` family, the three-point
-level matching polygon and the per-ray ``tau`` polygon of the boundary
+symmetric seed polygon ``kappa``, the three-point level matching polygon
+(lifted, it is Θ(1,n,0)) and the per-ray ``tau`` polygon of the boundary
 extension, which ``tau_at`` evaluates on integers without building it.
 """
 
@@ -210,14 +210,6 @@ def restrict(f: PLMap, lo, hi) -> PLMap:
     pairs.extend((u, v) for u, v in f.points if lo < u < hi)
     pairs.append((hi, pl_eval(f, hi)))
     return _normalized(pairs)
-
-
-def phi_n0(n: int) -> PLMap:
-    """Homeomorphism of [0, 1/(n+1)] through (1/(2(n+1)), 1/(2(n+2)))."""
-    if n < 0:
-        raise ValueError("dimension must be nonnegative")
-    top = Fraction(1, n + 1)
-    return polygon([(0, 0), (Fraction(1, 2 * (n + 1)), Fraction(1, 2 * (n + 2))), (top, top)])
 
 
 def sigma_polygon(alpha, beta, hi) -> PLMap:

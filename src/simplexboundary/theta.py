@@ -3,14 +3,15 @@
 A face map inserts the value v = i/((L+1)(n+1)) at a chosen slot and
 scales the remaining coordinates by 1-v; its left inverse deletes that
 slot again.  The Θ family supplies, for every face map, the simplex
-homeomorphism that precomposes it inside the boundary operator:
+homeomorphism that precomposes it inside the boundary operator; Θ(L,n,i)
+carries the cross x_m = α onto x_m = β, for (α, β) = ``ThetaKey.levels``:
 
 * L = 0: the identity in every dimension (the classical operator);
-* L = 1, i = 0: the lift of the ``phi_n0`` interval map;
-* L = 1, i = 1: built by induction on the dimension — a seven-map
-  composite defines it on the boundary faces, and the boundary
-  extension carries it inward so that the 1/(2(n+1))-cross lands on the
-  1/(2(n+1)+1)-cross.  Each boundary face has its own table of
+* L = 1, i = 0: the lift of the polygon α ↦ β of [0, 1/(n+1)];
+* L = 1, i = 1: the lift of ``kappa`` on [0, 1/2] at n = 1; above it,
+  built by induction on the dimension — a seven-map composite defines
+  it on the boundary faces, and the boundary extension with levels α and
+  β carries it inward.  Each boundary face has its own table of
   (map, inverse) pairs, the same seven maps written for its zero slot
   and resolved once; the inverse runs the inverses in reverse order, so
   every member of the family carries an exact inverse.
@@ -29,7 +30,7 @@ from typing import Tuple
 
 from .comfort import PointMap, SimplexHomeo, extend_from_boundary, identity_homeo, lambda_lift
 from .geometry import BaryPoint, format_point, format_rational
-from .pl1d import kappa, phi_n0, restrict
+from .pl1d import kappa, restrict, sigma_polygon
 
 
 class UnsupportedL(ValueError):
@@ -146,6 +147,11 @@ class ThetaKey:
         """Θ is the identity for the classical family (L = 0) and on the point."""
         return self.L == 0 or self.n == 0
 
+    @property
+    def levels(self) -> Tuple[Fraction, Fraction]:
+        """(α, β) = (1/((L+1)(n+1)), 1/((L+1)(n+2)-i)): Θ carries the α-cross onto β."""
+        return Fraction(1, (self.L + 1) * (self.n + 1)), Fraction(1, (self.L + 1) * (self.n + 2) - self.i)
+
     def map_id(self) -> str:
         return f"theta:L={self.L},n={self.n},i={self.i}"
 
@@ -157,14 +163,13 @@ def theta(key: ThetaKey) -> SimplexHomeo:
     if key.is_identity:
         homeo = identity_homeo(key.n)
     elif key.i == 0:
-        homeo = lambda_lift(phi_n0(key.n), key.n)
+        homeo = lambda_lift(sigma_polygon(*key.levels, Fraction(1, key.n + 1)), key.n)
     elif key.n == 1:
         # Base of the induction: both coordinates move through the kappa
         # polygon, which restricts to a homeomorphism of [0, 1/2].
         homeo = lambda_lift(restrict(kappa(), 0, Fraction(1, 2)), 1)
     else:
-        check_family(key.L, key.n)
-        homeo = theta1_full(key.n)
+        homeo = _inductive(key)
     homeo.label = key.map_id()
     return homeo
 
@@ -194,7 +199,9 @@ def _face_steps(dim: int, j: int) -> Tuple[Tuple[PointMap, PointMap], ...]:
     distinguished cross value at slot 0, lift once more, put the zero
     back at slot j (now j+1), and delete the cross value from slot 0.
     Every map respects permutations, so the faces agree where they
-    meet.  The Θ maps are resolved once per face."""
+    meet.  The Θ maps are resolved once per face; past the cap
+    ``check_family`` raises on every call."""
+    check_family(1, dim)
     lift = theta(ThetaKey(1, dim - 1, 0))
     lower = theta(ThetaKey(1, dim - 1, 1))
     relift = theta(ThetaKey(1, dim, 0))
@@ -223,19 +230,13 @@ def theta1_on_face(dim: int, j: int, y: BaryPoint) -> BaryPoint:
     return y
 
 
-def theta1_full(n: int) -> SimplexHomeo:
-    """The inductive map on the whole n-simplex (n >= 2).
-
-    The boundary values come from ``theta1_on_face``; the boundary
-    extension with levels 1/(2(n+1)) and 1/(2(n+1)+1) produces a
-    homeomorphism carrying the first cross onto the second.  Its exact
-    inverse extends the boundary inverse, which runs the same face
-    table in reverse, each pair's inverse.  The face tables, and the
-    lower Θ maps they use, are resolved here, once.
-    """
-    if n < 2:
-        raise ValueError("the inductive construction starts at dimension 2")
-
+def _inductive(key: ThetaKey) -> SimplexHomeo:
+    """The inductive Θ(1,n,1), n >= 2: the boundary extension, with the
+    key's levels, of ``theta1_on_face``.  Its exact inverse extends the
+    boundary inverse, which runs the same face table in reverse, each
+    pair's inverse.  The face tables, and the lower Θ maps they use, are
+    resolved here, once."""
+    n = key.n
     tables = [_face_steps(n, j) for j in range(n + 1)]
 
     def on_boundary(b: BaryPoint) -> BaryPoint:
@@ -246,6 +247,4 @@ def theta1_full(n: int) -> SimplexHomeo:
             c = inverse(c)
         return c
 
-    alpha = Fraction(1, 2 * (n + 1))
-    beta = Fraction(1, 2 * (n + 1) + 1)
-    return extend_from_boundary(on_boundary, alpha, beta, n, on_boundary_inverse)
+    return extend_from_boundary(on_boundary, *key.levels, n, on_boundary_inverse)

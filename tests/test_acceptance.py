@@ -30,7 +30,7 @@ from simplexboundary.geometry import (
     min_value,
     on_cross,
 )
-from simplexboundary.pl1d import phi_n0, pl_compose, pl_eval, sigma_polygon
+from simplexboundary.pl1d import pl_compose, pl_eval, sigma_polygon
 from simplexboundary.theta import (
     FaceMap,
     ThetaKey,
@@ -54,7 +54,9 @@ def test_criterion_1_paper_value_fixtures():
 
     assert theta(ThetaKey(1, 1, 0))(BaryPoint([q(1, 4), q(3, 4)])) == BaryPoint([q(1, 6), q(5, 6)])
     assert theta(ThetaKey(1, 1, 1))(BaryPoint([q(1, 4), q(3, 4)])) == BaryPoint([q(1, 5), q(4, 5)])
-    assert pl_eval(phi_n0(2), q(1, 6)) == q(1, 8)
+    assert theta(ThetaKey(1, 2, 0))(BaryPoint([q(1, 6), q(1, 6), q(2, 3)])) == BaryPoint(
+        [q(1, 8), q(1, 8), q(3, 4)]
+    )
     assert face_insert(FaceMap(1, 1, 1, 0), BaryPoint([1])) == BaryPoint([q(1, 4), q(3, 4)])
 
     # Commuting square values on the single point of the 0-simplex.

@@ -18,13 +18,12 @@ from simplexboundary.homology_point import point_homology
 from simplexboundary.pl1d import (
     OutOfDomain,
     identity_map,
-    phi_n0,
     restrict,
     sigma_polygon,
     tau_at,
     tau_polygon,
 )
-from simplexboundary.theta import FaceMap, NotOnFace, ThetaKey, _first_zero, theta1_full, theta1_on_face
+from simplexboundary.theta import FaceMap, NotOnFace, ThetaKey, _first_zero, theta1_on_face
 
 LINE = BaryPoint([F(1, 4), F(3, 4)])
 PLANE = BaryPoint([F(1, 6), F(1, 3), F(1, 2)])
@@ -54,7 +53,6 @@ CHECKS = [
     # pl1d
     ("restriction interval", lambda: restrict(identity_map(0, 1), F(1, 2), 2), OutOfDomain,
      "[1/2, 2] is not a subinterval of [0, 1]"),
-    ("phi_n0 dimension", lambda: phi_n0(-1), ValueError, "dimension must be nonnegative"),
     ("sigma levels", lambda: sigma_polygon(0, F(1, 2), 1), ValueError,
      "levels (0, 1/2) must lie strictly inside (0, 1)"),
     ("tau dimensions", lambda: tau_polygon(EDGE, BaryPoint([0, 1]), F(1, 6), F(1, 7)), ValueError,
@@ -72,7 +70,6 @@ CHECKS = [
      "the inductive face construction starts at dimension 2"),
     ("face point dimension", lambda: theta1_on_face(2, 0, LINE), ValueError,
      "expected a point of dimension 2, got 1"),
-    ("inductive dimension", lambda: theta1_full(1), ValueError, "the inductive construction starts at dimension 2"),
 ]
 
 

@@ -19,7 +19,8 @@ from simplexboundary.chain import (
 )
 from simplexboundary.cli import main
 from simplexboundary.comfort import SimplexHomeo
-from simplexboundary.theta import ThetaKey, UnsupportedL, check_family, theta
+from simplexboundary.geometry import BaryPoint
+from simplexboundary.theta import ThetaKey, UnsupportedL, check_family, theta, theta1_on_face
 
 
 def run(capsys, *argv):
@@ -123,16 +124,6 @@ def test_eval_transcript_csv(capsys):
     ]
 
 
-def test_eval_map_failure_at_a_valid_point_exits_one(capsys, monkeypatch):
-    def refuse(x):
-        raise ValueError("no image here")
-
-    monkeypatch.setattr(cli, "theta", lambda key: SimplexHomeo(key.n, refuse, refuse))
-    code, stdout, stderr = run(capsys, "eval", "--map", "theta:L=1,n=1,i=1", "--point", "[1/4,3/4]")
-    assert (code, stdout) == (1, "")
-    assert stderr == "error: no image here\n"
-
-
 def raising(kind):
     def stand_in(*args, **kwargs):
         raise kind("boom")
@@ -159,12 +150,6 @@ def test_every_command_exits_one_on_a_raised_failure(argv, name, stand_in, tmp_p
     assert not out.exists()
 
 
-def test_bad_flags_exit_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-equations", "--bogus"])
-    assert exc.value.code == 2
-
-
 @pytest.mark.parametrize(
     "argv, code, stream, expected",
     [
@@ -175,7 +160,7 @@ def test_bad_flags_exit_two():
     ids=["homology", "usage-error", "unknown-flag"],
 )
 def test_entry_point_exit_codes(argv, code, stream, expected):
-    # The real entry point: sys.exit(main()) and argparse's own exit path.
+    # The real entry point: sys.exit(main()), an argparse error included.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
@@ -293,10 +278,6 @@ test_eval_config_keys_of_required_flags_exit_two = usage_errors(
 test_eval_unknown_format_in_config_exits_two = usage_errors(
     ([*EVAL_ONE_POINT, "--config", b"format=bogus\n"], "eval format must be csv, got 'bogus'"),
 )
-test_eval_past_dimension_cap_exits_two = usage_errors(
-    (["eval", "--map", "theta:L=1,n=9,i=1", "--point", "[1,0,0,0,0,0,0,0,0,0]"],
-     f"bad theta map id 'theta:L=1,n=9,i=1': {CAP_9}"),
-)
 
 test_figure_zero_denominator_is_usage_error = usage_errors(
     (["figure", "--m", "9,4", "--alpha", "1/0"], "cannot parse cross level '1/0': zero denominator in '1/0'"),
@@ -305,6 +286,18 @@ test_figure_requires_content = usage_errors((["figure"], "nothing to draw: pass 
 test_figure_rejects_other_dimensions = usage_errors(
     (["figure", "--m", "1,1", "--n", "3"], "figure export is planar and needs dimension 2"),
 )
+
+# argparse's own errors come back from main as usage errors, not SystemExit.
+test_bad_flags_exit_two = usage_errors(
+    (["verify-equations", "--bogus"], "unrecognized arguments: --bogus"),
+    (["verify-equations", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["eval", "--map", "theta:L=1,n=1,i=1"], "the following arguments are required: --point"),
+    ([], "the following arguments are required: command"),
+)
+test_format_only_where_it_selects_output = usage_errors(*(
+    ([command, "--format", "csv"], "unrecognized arguments: --format csv")
+    for command in ("verify-equations", "verify-boundary", "homology")
+))
 
 test_unknown_config_key = usage_errors((["homology", "--config", b"bogus=1\n"], "unknown config key 'bogus'"))
 # The parsed arguments also hold the command, its function and the config
@@ -332,10 +325,6 @@ test_levels_past_dimension_cap_exit_two = usage_errors(
 test_n_max_below_n_exits_two = usage_errors(
     (["verify-equations", "--n", "3", "--n-max", "2"], "--n-max 2 is below --n 3"),
     (["verify-boundary", "--n", "3", "--n-max", "2"], "--n-max 2 is below --n 3"),
-)
-test_homology_unsupported_family_matches_verify_boundary = usage_errors(
-    (["homology", "--m", "1,1,1"], FAMILY_L2),
-    (["verify-boundary", "--m", "1,1,1"], FAMILY_L2),
 )
 # Each grid is built before any level runs, so nothing reaches stdout.
 test_verify_equations_grid_denominator_too_small_exits_two = usage_errors(
@@ -502,6 +491,7 @@ FAMILY_ENTRY_POINTS = [
                  id="check_boundary_squared"),
     pytest.param(CAP, lambda: theta(ThetaKey(1, 9, 1)), id="theta"),
     pytest.param(CAP, lambda: check_equation(9, []), id="check_equation n=9"),
+    pytest.param(CAP, lambda: theta1_on_face(9, 0, BaryPoint([0] + [1] * 9, 9)), id="theta1_on_face"),
 ] + [
     pytest.param(family, argv, id=" ".join(argv[:3]))
     for family, argv in [
@@ -530,14 +520,6 @@ def test_every_entry_point_gives_the_family_message(family, entry, capsys):
         code, stdout, stderr = run(capsys, *entry)
         prefix = f"bad theta map id {entry[2]!r}: " if entry[0] == "eval" else ""
         assert (code, stdout, stderr) == (2, "", f"usage error: {prefix}{message}\n")
-
-
-def test_format_only_where_it_selects_output():
-    for command in ("verify-equations", "verify-boundary", "homology"):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--format", "csv"])
-        assert exc.value.code == 2
-
 
 
 #: One optional flag per case: the command, its required or content flags,

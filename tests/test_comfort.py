@@ -35,7 +35,6 @@ from simplexboundary.pl1d import (
     NonMonotone,
     _tau_breakpoints,
     identity_map,
-    phi_n0,
     pl_compose,
     pl_eval,
     pl_inverse,
@@ -59,9 +58,9 @@ def small_grid(n, k=12):
 
 
 def test_lift_paper_values():
-    t = lambda_lift(phi_n0(1), 1)
+    t = lambda_lift(sigma_polygon(F(1, 4), F(1, 6), F(1, 2)), 1)
     assert t(BaryPoint([F(1, 4), F(3, 4)])) == BaryPoint([F(1, 6), F(5, 6)])
-    t2 = lambda_lift(phi_n0(2), 2)
+    t2 = lambda_lift(sigma_polygon(F(1, 6), F(1, 8), F(1, 3)), 2)
     assert t2(BaryPoint([F(1, 6), F(1, 6), F(2, 3)])) == BaryPoint([F(1, 8), F(1, 8), F(3, 4)])
 
 
@@ -307,7 +306,7 @@ def reference_lift(f, n):
 @given(st.data())
 def test_lift_matches_reference(data):
     n = data.draw(st.integers(1, 5))
-    f = data.draw(pl_homeos(F(1, n + 1)) | st.just(phi_n0(n)))
+    f = data.draw(pl_homeos(F(1, n + 1)) | st.just(sigma_polygon(F(1, 2 * (n + 1)), F(1, 2 * (n + 2)), F(1, n + 1))))
     lifted = lambda_lift(f, n)
     x = data.draw(st.just(center(n)) | lattice_points(n) | coprime_points(n))
     y = lifted(x)
@@ -434,7 +433,8 @@ def assert_same_map(homeo, forward, inverse):
 def test_layer_extension_matches_reference(n):
     cval = F(1, n + 1)
     for alpha, beta in ((cval / 2, cval / 3), (cval / 5, cval / 2), (F(0), F(0)), (cval, cval)):
-        lifted = lambda_lift(sigma_polygon(alpha, beta, cval) if alpha != beta else phi_n0(n), n)
+        levels = (alpha, beta) if alpha != beta else (cval / 2, F(1, 2 * (n + 2)))
+        lifted = lambda_lift(sigma_polygon(*levels, cval), n)
         for phi, phi_inv in ((lifted, lifted.inverse_at), (refusing(lifted), refusing(lifted.inverse_at))):
             assert_same_map(
                 extend_from_layer(phi, alpha, beta, n, phi_inverse=phi_inv),
@@ -448,7 +448,7 @@ def test_boundary_extension_matches_reference(n):
     cval = F(1, n + 1)
     rotate = lambda y: BaryPoint(y.nums[1:] + y.nums[:1], y.den)  # moves the zeros: off the 0-cross
     cases = [(cval / 2, cval / 3, lambda_lift(sigma_polygon(cval / 2, cval / 3, cval), n))]
-    cases.append((F(0), F(0), lambda_lift(phi_n0(n), n)))
+    cases.append((F(0), F(0), lambda_lift(sigma_polygon(cval / 2, F(1, 2 * (n + 2)), cval), n)))
     for alpha, beta, lifted in cases:
         for phi, phi_inv in ((lifted, lifted.inverse_at), (refusing(lifted), refusing(lifted.inverse_at))):
             assert_same_map(
@@ -535,7 +535,7 @@ def test_counterexample_matches_reference():
 
 def test_check_comfort_passes_identity_and_lift():
     assert check_comfort(identity_homeo(2), small_grid(2)).passed
-    report = check_comfort(lambda_lift(phi_n0(3), 3), small_grid(3))
+    report = check_comfort(lambda_lift(sigma_polygon(F(1, 8), F(1, 10), F(1, 4)), 3), small_grid(3))
     assert report.passed
     assert report.samples_checked == len(small_grid(3))
 

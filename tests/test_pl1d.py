@@ -17,7 +17,6 @@ from simplexboundary.pl1d import (
     _normalized,
     identity_map,
     kappa,
-    phi_n0,
     pl_compose,
     pl_eval,
     pl_inverse,
@@ -327,15 +326,15 @@ def test_normalization_removes_collinear_points():
 def test_pl_eval_examples():
     assert pl_eval(kappa(), F(1, 2)) == F(1, 2)
     assert pl_eval(kappa(), 0) == 0
-    assert pl_eval(phi_n0(2), F(1, 6)) == F(1, 8)
+    assert pl_eval(sigma_polygon(F(1, 6), F(1, 8), F(1, 3)), F(1, 6)) == F(1, 8)
     with pytest.raises(OutOfDomain):
-        pl_eval(phi_n0(2), F(1, 2))
+        pl_eval(sigma_polygon(F(1, 6), F(1, 8), F(1, 3)), F(1, 2))
 
 
 def test_pl_inverse_examples():
     assert pl_eval(pl_inverse(kappa()), F(1, 5)) == F(1, 4)
     assert pl_inverse(identity_map(0, 1)) == identity_map(0, 1)
-    assert pl_eval(pl_inverse(phi_n0(2)), F(1, 8)) == F(1, 6)
+    assert pl_eval(pl_inverse(sigma_polygon(F(1, 6), F(1, 8), F(1, 3))), F(1, 8)) == F(1, 6)
 
 
 def test_pl_inverse_roundtrip_property():
@@ -354,7 +353,7 @@ def test_pl_compose():
     assert pl_compose(k, identity_map(0, 1)) == k
     assert pl_eval(pl_compose(k, k), F(1, 4)) == F(4, 25)
     with pytest.raises(ValueError):
-        pl_compose(phi_n0(2), kappa())  # codomain/domain mismatch
+        pl_compose(sigma_polygon(F(1, 6), F(1, 8), F(1, 3)), kappa())  # codomain/domain mismatch
 
 
 @settings(max_examples=100)
@@ -365,7 +364,7 @@ def test_pl_compose_is_associative_property(f, g, h):
 
 def test_strictly_increasing_on_breakpoints_and_midpoints():
     rng = random.Random(5)
-    maps = [kappa(), phi_n0(1), phi_n0(3)]
+    maps = [kappa(), sigma_polygon(F(1, 4), F(1, 6), F(1, 2)), sigma_polygon(F(1, 8), F(1, 10), F(1, 4))]
     maps += [random_homeo(rng, F(0), F(1, 4)) for _ in range(6)]
     for f in maps:
         samples = [u for u, _ in f.points]
@@ -380,16 +379,6 @@ def test_symmetry_of_seed_polygons():
     for k in range(0, 25):
         x = F(k, 24)
         assert pl_eval(f, x) + pl_eval(f, 1 - x) == 1
-
-
-def test_phi_n0_family():
-    assert phi_n0(1).points == ((0, 0), (F(1, 4), F(1, 6)), (F(1, 2), F(1, 2)))
-    for n in range(0, 6):
-        f = phi_n0(n)
-        top = F(1, n + 1)
-        assert pl_eval(f, 0) == 0
-        assert pl_eval(f, top) == top
-        assert pl_eval(f, F(1, 2 * (n + 1))) == F(1, 2 * (n + 2))
 
 
 def test_sigma_polygon():

@@ -28,7 +28,7 @@ from simplexboundary.geometry import (
     random_rational_points,
     vertex,
 )
-from simplexboundary.pl1d import phi_n0, sigma_polygon
+from simplexboundary.pl1d import sigma_polygon
 from simplexboundary.theta import THETA1_DIM_CAP, ThetaKey, theta
 
 from samplers import boundary_samples, cross_samples, layer_samples
@@ -110,7 +110,7 @@ def test_failing_report_bytes(argv, tmp_path, capsys, monkeypatch):
 
 def _tied(n):
     """n equal coordinates 1/(2(n+1)) and a zero with coordinates tied at
-    1/(n+1): the breakpoint of the phi_n0 family and the lift threshold."""
+    1/(n+1): the breakpoint of Θ(1,n,0)'s polygon and the lift threshold."""
     half = F(1, 2 * (n + 1))
     pts = [BaryPoint([half] * n + [1 - n * half])]
     if n >= 2:
@@ -134,7 +134,7 @@ def _lift_of(alpha, beta, n):
 
 
 def _zero_layer(n):
-    lift = lambda_lift(phi_n0(n), n)
+    lift = _lift_of(F(1, 2 * (n + 1)), F(1, 2 * (n + 2)), n)
     return extend_from_layer(lift, 0, 0, n, lift.inverse_at)
 
 

@@ -17,7 +17,7 @@ from simplexboundary.geometry import (
     on_cross,
     vertex,
 )
-from simplexboundary.pl1d import kappa, pl_eval
+from simplexboundary.pl1d import kappa, pl_eval, restrict, sigma_polygon
 from simplexboundary.theta import (
     FaceMap,
     NotOnFace,
@@ -216,6 +216,8 @@ def test_theta_base_values():
 
 
 def test_theta_dim1_matches_diagonal_kappa():
+    # kappa on [0, 1/2] is the polygon 1/4 -> 1/5 of the base's levels.
+    assert restrict(kappa(), 0, F(1, 2)) == sigma_polygon(F(1, 4), F(1, 5), F(1, 2))
     t = theta(ThetaKey(1, 1, 1))
     k = kappa()
     for a in range(0, 13):
@@ -420,12 +422,19 @@ def test_theta1_cross_transport():
 
 
 def test_theta0_cross_transport():
-    for n in (2, 3):
+    # The lift of the polygon 1/(2(n+1)) -> 1/(2(n+2)) on [0, 1/(n+1)]: it
+    # fixes the vertices and the center, where the polygon fixes 0 and
+    # 1/(n+1), and carries the one cross onto the other slot by slot.
+    for n in range(1, 7):
         t = theta(ThetaKey(1, n, 0))
         alpha = F(1, 2 * (n + 1))
         beta = F(1, 2 * (n + 2))
+        assert t(center(n)) == center(n) and t(vertex(n, n)) == vertex(n, n)
         for x in cross_samples(n, alpha, 8):
-            assert on_cross(t(x), beta)
+            y = t(x)
+            assert on_cross(y, beta)
+            for slot in range(n + 1):
+                assert (x[slot] == alpha) == (y[slot] == beta)
 
 
 def test_theta_fixes_center():
