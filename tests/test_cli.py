@@ -124,6 +124,16 @@ def test_eval_transcript_csv(capsys):
     ]
 
 
+def test_eval_map_failure_at_a_valid_point_exits_one(capsys, monkeypatch):
+    def refuse(x):
+        raise ValueError("no image here")
+
+    monkeypatch.setattr(cli, "theta", lambda key: SimplexHomeo(key.n, refuse, refuse))
+    code, stdout, stderr = run(capsys, "eval", "--map", "theta:L=1,n=1,i=1", "--point", "[1/4,3/4]")
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: no image here\n"
+
+
 def raising(kind):
     def stand_in(*args, **kwargs):
         raise kind("boom")
@@ -278,6 +288,10 @@ test_eval_config_keys_of_required_flags_exit_two = usage_errors(
 test_eval_unknown_format_in_config_exits_two = usage_errors(
     ([*EVAL_ONE_POINT, "--config", b"format=bogus\n"], "eval format must be csv, got 'bogus'"),
 )
+test_eval_past_dimension_cap_exits_two = usage_errors(
+    (["eval", "--map", "theta:L=1,n=9,i=1", "--point", "[1,0,0,0,0,0,0,0,0,0]"],
+     f"bad theta map id 'theta:L=1,n=9,i=1': {CAP_9}"),
+)
 
 test_figure_zero_denominator_is_usage_error = usage_errors(
     (["figure", "--m", "9,4", "--alpha", "1/0"], "cannot parse cross level '1/0': zero denominator in '1/0'"),
@@ -325,6 +339,10 @@ test_levels_past_dimension_cap_exit_two = usage_errors(
 test_n_max_below_n_exits_two = usage_errors(
     (["verify-equations", "--n", "3", "--n-max", "2"], "--n-max 2 is below --n 3"),
     (["verify-boundary", "--n", "3", "--n-max", "2"], "--n-max 2 is below --n 3"),
+)
+test_homology_unsupported_family_matches_verify_boundary = usage_errors(
+    (["homology", "--m", "1,1,1"], FAMILY_L2),
+    (["verify-boundary", "--m", "1,1,1"], FAMILY_L2),
 )
 # Each grid is built before any level runs, so nothing reaches stdout.
 test_verify_equations_grid_denominator_too_small_exits_two = usage_errors(

@@ -26,6 +26,7 @@ from simplexboundary.pl1d import (
     tau_at,
     tau_polygon,
 )
+from simplexboundary.theta import ThetaKey
 
 
 def random_homeo(rng: random.Random, lo: F, hi: F, inner: int = 3) -> PLMap:
@@ -379,6 +380,21 @@ def test_symmetry_of_seed_polygons():
     for k in range(0, 25):
         x = F(k, 24)
         assert pl_eval(f, x) + pl_eval(f, 1 - x) == 1
+
+
+def phi_n0(n):
+    """The polygon that Θ(1,n,0) lifts: [0, 1/(n+1)] through its key's levels."""
+    return sigma_polygon(*ThetaKey(1, n, 0).levels, F(1, n + 1))
+
+
+def test_phi_n0_family():
+    assert phi_n0(1).points == ((0, 0), (F(1, 4), F(1, 6)), (F(1, 2), F(1, 2)))
+    for n in range(0, 6):
+        f = phi_n0(n)
+        top = F(1, n + 1)
+        assert pl_eval(f, 0) == 0
+        assert pl_eval(f, top) == top
+        assert pl_eval(f, F(1, 2 * (n + 1))) == F(1, 2 * (n + 2))
 
 
 def test_sigma_polygon():
