@@ -15,12 +15,16 @@ One generator expands a term into the summands of its boundary and
 another, nesting it, into those of its double boundary; the operator
 uses the first and both checks the second, and every composite is
 evaluated by ``SingularTerm.evaluate``.  Every summand of the double
-boundary is "Θ, then insert, Θ, then insert", so the instances of one
-level run the same few Θ maps at the same points; the level check
-shares one memo of Θ values among them (a dict keyed by the resolved
-map object and the exact point, never a sorted form of it), and only
-values whose map returned are stored.  Identity Θ maps (all of L = 0,
-and Θ on the 0-simplex) bypass it.  Two checks make the defining
+boundary is "Θ, then insert, Θ, then insert", so at one point the
+summands that share an inner face share their whole inner composite,
+and those that also share the outer Θ share its value.  The level check
+therefore runs point by point, with one memo per point, dropped once
+the point is done: it holds the value of each inner part of a term,
+keyed by its inner faces, and each non-identity Θ value, keyed by the
+inner faces it was applied to and the Θ key.  Keys are tuples of small
+ints; no point is hashed, and a key is never a sorted form of anything.
+Only values whose map returned are stored.  Identity Θ maps (all of
+L = 0, and Θ on the 0-simplex) bypass it.  Two checks make the defining
 identities executable:
 
 * ``check_equation`` evaluates, for every instance of a level, the two
@@ -66,10 +70,6 @@ class CoefficientTuple(tuple):
 # Singular terms
 
 
-#: A memo of Θ values, keyed by (map object, exact point).
-ThetaValues = Dict[Tuple[SimplexHomeo, BaryPoint], BaryPoint]
-
-
 @dataclass(frozen=True)
 class SingularTerm:
     """A basis element: a base map precomposed with a list of faces.
@@ -92,37 +92,55 @@ class SingularTerm:
             d = fm.n
 
     @cached_property
-    def steps(self) -> Tuple[Tuple[SimplexHomeo, FaceMap, bool], ...]:
-        """The (Θ map, face, memoized) triples, innermost first, resolved on
-        first use.  An identity Θ is not memoized: hashing the point for
-        the lookup costs more than the map."""
-        steps = []
-        for fm in reversed(self.faces):
+    def steps(self) -> Tuple[Tuple[SimplexHomeo, FaceMap, Optional[tuple], Optional[tuple]], ...]:
+        """The (Θ map, face, Θ key, part key) of each face, innermost
+        first, resolved on first use.  The keys are the memo keys of
+        ``evaluate``, tuples of ints: the part key lists (L, n, i, j) of
+        every face applied up to this one and names the value after this
+        step, and the Θ key appends Θ's (L, n, i) to the faces applied
+        before it.  Their lengths differ mod 4, so they never collide.
+        The outermost step has no part key, since a term's own value is
+        not shared, and an identity Θ has no Θ key, since a lookup costs
+        more than the map."""
+        steps, faces = [], ()
+        for m, fm in enumerate(reversed(self.faces), 1):
             key = ThetaKey(fm.L, fm.n - 1, fm.i)
-            steps.append((theta(key), fm, not key.is_identity))
+            theta_key = None if key.is_identity else faces + (key.L, key.n, key.i)
+            faces += (fm.L, fm.n, fm.i, fm.j)
+            steps.append((theta(key), fm, theta_key, faces if m < len(self.faces) else None))
         return tuple(steps)
 
-    def evaluate(self, x: BaryPoint, values: Optional[ThetaValues] = None):
+    def evaluate(self, x: BaryPoint, values: Optional[Dict[tuple, BaryPoint]] = None):
         """The term's value at ``x``.
 
-        ``values`` memoizes the values of non-identity Θ maps by (map
-        object, exact point): a step whose Θ value is there skips the map,
-        and a value is stored only once the map has returned, so a point
-        that raises raises again.  ``check_equation`` shares one dict
-        among all sides of a level.
+        ``values`` is a memo for the one point ``x``, shared by the terms
+        evaluated there: it holds the value of each inner part of a term,
+        keyed by its inner faces, and each non-identity Θ value, keyed by
+        the faces it was applied to and the Θ key (see ``steps``).  A step
+        whose part is there is skipped, and a Θ whose value is there is
+        not run.  A value is stored only once its map has returned, so a
+        point that raises raises again.  The keys do not name the point:
+        a caller passes a fresh dict for every point, as
+        ``check_equation`` does.
         """
-        if x.dim != self.domain_dim:
+        if len(x.nums) != self.domain_dim + 1:
             raise ValueError(f"term expects dimension {self.domain_dim}, got {x.dim}")
         if values is None:
             values = {}
-        for homeo, fm, memoized in self.steps:
-            if not memoized:
+        for homeo, fm, theta_key, part_key in self.steps:
+            y = values.get(part_key)
+            if y is not None:
+                x = y
+                continue
+            if theta_key is None:
                 y = homeo(x)
             else:
-                y = values.get((homeo, x))
+                y = values.get(theta_key)
                 if y is None:
-                    y = values[homeo, x] = homeo(x)
+                    y = values[theta_key] = homeo(x)
             x = face_insert(fm, y)
+            if part_key is not None:
+                values[part_key] = x
         return x
 
     def describe(self) -> str:
@@ -266,8 +284,10 @@ def check_equation(
     one expansion of the double boundary of the identity (n+1)-chain.
     Every report's grid object is a copy of ``grid_meta`` (the grid's
     origin, such as its denominator and seed) plus the grid's size.  The
-    instances run the same Θ maps at the same points and differ only in
-    where values are inserted, so all sides share one Θ memo of the call.
+    sides that share an inner face share their inner composite at a
+    point, so the check runs point by point: every instance at one point,
+    with one ``SingularTerm.evaluate`` memo for that point, dropped
+    before the next.  Witnesses stay in grid order within each instance.
 
     A point that a side rejects (any ``ValueError`` raised while
     evaluating, such as a point-validation or face-slot failure) becomes
@@ -281,13 +301,16 @@ def check_equation(
     summands = {key: term for key, _, term in _double_boundary(identity_term(n + 1), weights)}
     for term in summands.values():  # every summand is a side of exactly one instance
         term.steps  # resolve the Θ maps before the loop: one that is not built raises here
-    values: ThetaValues = {}
     grid_meta = {**(grid_meta or {}), "size": len(grid)}  # a copy: the caller's dict stays as it is
-    results = []
+    results, sides = [], []
     for (j, p, i, k) in equation_instances(n, L):
-        left, right = summands[j, p, i, k], summands[p + 1, j, k, i]
-        result = EquationCheck(n=n, L=L, j=j, p=p, i=i, k=k, grid_meta=grid_meta, points_checked=len(grid))
-        for x in grid:
+        sides.append((summands[j, p, i, k], summands[p + 1, j, k, i]))
+        results.append(
+            EquationCheck(n=n, L=L, j=j, p=p, i=i, k=k, grid_meta=grid_meta, points_checked=len(grid))
+        )
+    for x in grid:
+        values: Dict[tuple, BaryPoint] = {}
+        for (left, right), result in zip(sides, results):
             try:
                 lhs, rhs = left.evaluate(x, values), right.evaluate(x, values)
             except ValueError as exc:
@@ -295,7 +318,6 @@ def check_equation(
                 continue
             if lhs != rhs:
                 result.witnesses.append(Witness(format_point(x), format_point(lhs), format_point(rhs)))
-        results.append(result)
     return results
 
 

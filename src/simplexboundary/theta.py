@@ -100,8 +100,12 @@ class FaceMap:
 
 def face_insert(key: FaceMap, x: BaryPoint) -> BaryPoint:
     """Insert v at slot j, scaling the other coordinates by 1-v."""
-    if x.dim != key.n - 1:
+    if len(x.nums) != key.n:
         raise ValueError(f"face map expects dimension {key.n - 1}, got {x.dim}")
+    if not key.i:  # a zero keeps the numerators and D, which stay reduced
+        nums = list(x.nums)
+        nums.insert(key.j, 0)
+        return BaryPoint(nums, x.den, 1)
     # With x = X/D and v = i/K, the image is over D*K: X_m*(K-i) for the
     # kept coordinates and i*D at slot j.  Their gcd divides K*(K-i): a
     # prime of D misses some X_m, so its power is at most that in K-i, and
@@ -115,16 +119,17 @@ def face_insert(key: FaceMap, x: BaryPoint) -> BaryPoint:
 
 def face_delete(key: FaceMap, y: BaryPoint) -> BaryPoint:
     """Left inverse of ``face_insert``: delete slot j, rescale by 1/(1-v)."""
-    if y.dim != key.n:
+    j, nums = key.j, y.nums
+    if len(nums) != key.n + 1:
         raise ValueError(f"face deletion expects dimension {key.n}, got {y.dim}")
     # With y = Y/D, slot j holds v = i/K exactly when Y_j*K = i*D; the
-    # other coordinates, scaled by 1/(1-v), are Y_m over D - Y_j.
-    j, nums = key.j, y.nums
+    # other coordinates, scaled by 1/(1-v), are Y_m over D - Y_j.  When
+    # v = 0 they are Y_m over D, already reduced.
     if nums[j] * key.denominator != key.i * y.den:
         raise WrongSlotValue(
             f"slot {j} holds {format_rational(y[j])}, expected {format_rational(key.v)}"
         )
-    return BaryPoint(nums[:j] + nums[j + 1 :], y.den - nums[j])
+    return BaryPoint(nums[:j] + nums[j + 1 :], y.den - nums[j], 0 if key.i else 1)
 
 
 @dataclass(frozen=True)

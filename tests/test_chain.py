@@ -222,7 +222,7 @@ def direct_witnesses(L):
     """Per instance at levels 1..3, the witnesses of the two sides composed
     step by step without a memo, as the report writes them."""
     def compose(term, x):
-        for homeo, fm, _ in term.steps:
+        for homeo, fm, _, _ in term.steps:
             x = face_insert(fm, homeo(x))
         return x
 
@@ -274,6 +274,26 @@ def test_identity_theta_values_are_not_memoized():
     assert values == {}
     SingularTerm((FaceMap(1, 2, 1, 0),), 1).evaluate(x, values)
     assert list(values.values()) == [BaryPoint([F(1, 5), F(4, 5)])]
+
+
+@pytest.mark.parametrize("L", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_equation_builds_each_inner_composite_once(monkeypatch, n, L):
+    # Per point, each of the S summands makes its outer insertion, and each
+    # of the (n+1)(L+1) inner faces makes its insertion once for all of them.
+    from simplexboundary import chain
+
+    calls = []
+
+    def counting_insert(fm, y):
+        calls.append(fm)
+        return face_insert(fm, y)
+
+    monkeypatch.setattr(chain, "face_insert", counting_insert)
+    grid = small_grid(n - 1, 4)
+    check_equation(n, grid, L)
+    S = (n + 1) * (n + 2) * (L + 1) ** 2
+    assert len(calls) == len(grid) * (S + (n + 1) * (L + 1))
 
 
 def test_check_equation_past_dimension_cap_raises():

@@ -43,6 +43,9 @@ REPORTS = {
         "56512aed9e80504f455f88c268ab8704f723dc705567495c6540c73e3fe1ad70",
     ("verify-equations", "--L", "1", "--n", "1", "--n-max", "2"):
         "3e74bb3f1722c6fe0dfb92fca831a53080b13d9d14413e08874d7070e330842b",
+    # The levels where the instances share the most inner composites.
+    ("verify-equations", "--L", "1", "--n", "3", "--n-max", "4"):
+        "2837434ff5e8143ad29504987eeaf46e2d3c1d68438423b4046a3379d61c5fdc",
     ("verify-equations", "--L", "0", "--n", "1", "--n-max", "5"):
         "e693b999694e84eb72b1285410b7b278100965469b667c8b0db60e71d7235e1f",
     ("homology", "--m", "9,4", "--n-max", "8"):

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -170,6 +171,28 @@ def test_face_insert_gcd_bound_changes_no_point(data):
     nums.insert(key.j, i * x.den)
     bounded, unbounded = face_insert(key, x), BaryPoint(nums, x.den * K)
     assert (bounded.nums, bounded.den) == (unbounded.nums, unbounded.den)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_zero_value_face_maps_match_spliced_fractions(data):
+    # Inserting v = 0 keeps the numerators and the denominator; check it
+    # against the point built from the coordinates with a 0 spliced in.
+    xs = [data.draw(coprime_points(m) | lattice_points(m) | points(m)) for m in range(6)]
+    for L in range(4):
+        for n in range(1, 7):
+            x = xs[n - 1]
+            for j in range(n + 1):
+                key = FaceMap(L, n, 0, j)
+                y = face_insert(key, x)
+                spliced = list(x)
+                spliced.insert(j, F(0))
+                want = BaryPoint(spliced)
+                assert (y.nums, y.den) == (want.nums, want.den)
+                back = face_delete(key, y)
+                assert (back.nums, back.den) == (x.nums, x.den)
+                for z in (y, back):
+                    assert math.gcd(z.den, *z.nums) == 1
 
 
 def test_face_insert_respects_permutations():
