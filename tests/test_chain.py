@@ -212,7 +212,7 @@ def test_check_equation_records_rejections_as_witnesses(monkeypatch):
 
 def level_witnesses(L):
     """Per instance at levels 1..3, the report's witnesses, from one level
-    check (and so one Θ memo) per level."""
+    check per level, whose sides share one memo per grid point."""
     return [
         res.to_json()["witnesses"] for n in range(1, 4) for res in check_equation(n, small_grid(n - 1), L)
     ]
