@@ -40,7 +40,6 @@ from .pl1d import (
     tau_polygon,
 )
 from .comfort import (
-    ComfortReport,
     SimplexHomeo,
     check_comfort,
     counterexample_map,

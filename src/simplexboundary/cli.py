@@ -69,7 +69,10 @@ def _read_config(path: str) -> dict:
                 if "=" not in line:
                     raise UsageError(f"config line without '=': {line!r}")
                 key, _, val = line.partition("=")
-                values[key.strip().replace("-", "_")] = val.strip()
+                key = key.strip().replace("-", "_")
+                if key in values:
+                    raise UsageError(f"repeated config key {key!r}")
+                values[key] = val.strip()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -95,7 +98,7 @@ def _settle_flags(args: argparse.Namespace, defaults: dict) -> None:
 
 
 def _write_or_print(text: str, out: Optional[str]) -> None:
-    if out:
+    if out is not None:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -109,7 +112,7 @@ def _check_writable(out: Optional[str]) -> None:
     """Fail before any check runs when ``out`` cannot be opened for
     writing.  The probe appends nothing, so an existing report keeps its
     bytes if the run stops early, and a file the probe created is removed."""
-    if not out:
+    if out is None:
         return
     existed = os.path.exists(out)
     try:
@@ -126,7 +129,7 @@ def _report(check: str, parameters: dict, origin: dict, key: str, results: list,
     print its summary line, and return the exit code: 0 when every result
     passes, else 1.  ``key`` names the list of results in the report."""
     all_pass = all(r.verdict for r in results)
-    if out:
+    if out is not None:
         report = {"check": check, "parameters": parameters, "grid": origin,
                   "verdict": "pass" if all_pass else "fail", key: [r.to_json() for r in results]}
         _write_or_print(json.dumps(report, sort_keys=True, indent=2), out)

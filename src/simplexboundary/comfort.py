@@ -1,7 +1,7 @@
 """Permutation-respecting, order-keeping homeomorphisms of the simplex.
 
 The central objects are ``SimplexHomeo`` (an evaluable self-map of the
-standard simplex with its exact inverse and a label) and two
+standard simplex with its exact inverse) and two
 constructions:
 
 * ``lambda_lift`` turns an increasing homeomorphism of [0, 1/(n+1)]
@@ -22,17 +22,16 @@ boundary map with the two levels swapped.
 
 ``check_comfort`` verifies the two defining conditions (respecting
 coordinate permutations, keeping the sorted order) and the exact round
-trip through the inverse on a sample grid, and reports every violation
+trip through the inverse on a sample grid, and returns every violation
 with a witness.
 """
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 from .geometry import (
     DEFAULT_SEED,
@@ -75,32 +74,30 @@ class SimplexHomeo:
     """Evaluable self-map of the n-simplex with its exact inverse.
 
     ``forward`` and ``inverse`` act on ``BaryPoint`` values of the stated
-    dimension; ``label`` names the map in messages and reports.  The map
-    is assumed pure; instances are shareable.
+    dimension.  The map is assumed pure; instances are shareable.
     """
 
-    def __init__(self, dim: int, forward: PointMap, inverse: PointMap, label: str = "custom"):
+    def __init__(self, dim: int, forward: PointMap, inverse: PointMap):
         self.dim = dim
         self._forward = forward
         self._inverse = inverse
-        self.label = label
 
     def __call__(self, x: BaryPoint) -> BaryPoint:
         if len(x.nums) != self.dim + 1:
-            raise ValueError(f"{self.label} expects dimension {self.dim}, got {len(x) - 1}")
+            raise ValueError(f"map expects dimension {self.dim}, got {len(x) - 1}")
         return self._forward(x)
 
     def inverse_at(self, y: BaryPoint) -> BaryPoint:
         if len(y.nums) != self.dim + 1:
-            raise ValueError(f"{self.label} expects dimension {self.dim}, got {len(y) - 1}")
+            raise ValueError(f"map expects dimension {self.dim}, got {len(y) - 1}")
         return self._inverse(y)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimplexHomeo(dim={self.dim}, label={self.label!r})"
+        return f"SimplexHomeo(dim={self.dim})"
 
 
 def identity_homeo(n: int) -> SimplexHomeo:
-    return SimplexHomeo(n, lambda x: x, lambda y: y, label="identity")
+    return SimplexHomeo(n, lambda x: x, lambda y: y)
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +160,11 @@ def lambda_lift(f: PLMap, n: int) -> SimplexHomeo:
     as numerators over one denominator.
     """
     cval = Fraction(1, n + 1)
-    if f.domain != (Fraction(0), cval):
+    if (f.lo, f.hi) != (0, cval):
         raise BadDomain(f"lift needs a map on [0, 1/{n + 1}], got [{f.lo}, {f.hi}]")
     if f.out_lo != 0 or f.out_hi != cval:
         raise EndpointNotFixed(f"lifted map must fix 0 and 1/{n + 1}")
-    return SimplexHomeo(n, _lift(f, n), _lift(pl_inverse(f), n), label="lambda-lift")
+    return SimplexHomeo(n, _lift(f, n), _lift(pl_inverse(f), n))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +221,7 @@ def extend_from_layer(phi: PointMap, alpha, beta, n: int, phi_inverse: PointMap)
         return _ray_extension(foot, lambda b, c, p, q: pl_eval(sig, Fraction(p, q)), n)
 
     forward, inverse = extension(phi, alpha, beta), extension(phi_inverse, beta, alpha)
-    return SimplexHomeo(n, forward, inverse, label="layer-extension")
+    return SimplexHomeo(n, forward, inverse)
 
 
 def extend_from_boundary(phi: PointMap, alpha, beta, n: int, phi_inverse: PointMap) -> SimplexHomeo:
@@ -249,7 +246,7 @@ def extend_from_boundary(phi: PointMap, alpha, beta, n: int, phi_inverse: PointM
 
     forward = _ray_extension(phi, lambda b, c, p, q: tau_at(b, c, alpha, beta, p, q), n)
     inverse = _ray_extension(phi_inverse, lambda b, c, p, q: tau_at(b, c, beta, alpha, p, q), n)
-    return SimplexHomeo(n, forward, inverse, label="boundary-extension")
+    return SimplexHomeo(n, forward, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -263,41 +260,8 @@ class ComfortViolation:
     expected: str
     actual: str
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "witness": self.witness,
-            "expected": self.expected,
-            "actual": self.actual,
-        }
 
-
-@dataclass
-class ComfortReport:
-    """Outcome of sampling the two defining conditions on a grid."""
-
-    map_id: str
-    dim: int
-    samples_checked: int = 0
-    violations: List[ComfortViolation] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "map_id": self.map_id,
-            "n": self.dim,
-            "samples": self.samples_checked,
-            "violations": [v.to_json() for v in self.violations],
-        }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
-
-
-def _test_permutations(n: int, seed: int) -> List[Tuple[int, ...]]:
+def _test_permutations(n: int) -> List[Tuple[int, ...]]:
     # Adjacent transpositions generate the symmetric group; the reversal and
     # a few seeded permutations guard against composition bugs.
     perms: List[Tuple[int, ...]] = []
@@ -306,7 +270,7 @@ def _test_permutations(n: int, seed: int) -> List[Tuple[int, ...]]:
         p[m], p[m + 1] = p[m + 1], p[m]
         perms.append(tuple(p))
     perms.append(tuple(reversed(range(n + 1))))
-    rng = random.Random(seed * 1_000_003 + 11 * n + 6)
+    rng = random.Random(DEFAULT_SEED * 1_000_003 + 11 * n + 6)
     for _ in range(8):
         p = list(range(n + 1))
         rng.shuffle(p)
@@ -326,23 +290,19 @@ def _shown(value: Union[BaryPoint, str]) -> str:
     return value if isinstance(value, str) else format_point(value)
 
 
-def check_comfort(
-    homeo: SimplexHomeo,
-    grid: Sequence[BaryPoint],
-    seed: int = DEFAULT_SEED,
-    map_id: Optional[str] = None,
-) -> ComfortReport:
+def check_comfort(homeo: SimplexHomeo, grid: Sequence[BaryPoint]) -> List[ComfortViolation]:
     """Check permutation-respect, order-keeping and the exact round trip
     through the inverse on every grid point.
 
-    Violations are collected, not raised, one condition after the other.
+    Violations are collected, not raised, one condition after the other,
+    and returned; an empty list means the map passed.
     A ``ValueError`` raised by the map or its inverse is a violation
     whose ``actual`` names the exception: at a grid point it fails the
     round trip, and at a permuted point the permutation check.
     """
     n = homeo.dim
-    report = ComfortReport(map_id=map_id or homeo.label, dim=n, samples_checked=len(grid))
-    perms = _test_permutations(n, seed)
+    violations: List[ComfortViolation] = []
+    perms = _test_permutations(n)
     images = [(x, _image(homeo, x)) for x in grid]
     mapped = [(x, y) for x, y in images if not isinstance(y, str)]
 
@@ -351,7 +311,7 @@ def check_comfort(
             expected = apply_perm(y, perm)
             actual = _image(homeo, apply_perm(x, perm))
             if actual != expected:
-                report.violations.append(
+                violations.append(
                     ComfortViolation(
                         kind="permutation",
                         witness=f"x={format_point(x)} perm={perm}",
@@ -365,7 +325,7 @@ def check_comfort(
         for a in range(n + 1):
             for b in range(n + 1):
                 if X[a] <= X[b] and not Y[a] <= Y[b]:
-                    report.violations.append(
+                    violations.append(
                         ComfortViolation(
                             kind="order",
                             witness=f"x={format_point(x)} slots=({a},{b})",
@@ -377,7 +337,7 @@ def check_comfort(
     for x, y in images:
         back = y if isinstance(y, str) else _image(homeo.inverse_at, y)
         if back != x:
-            report.violations.append(
+            violations.append(
                 ComfortViolation(
                     kind="bijectivity",
                     witness=f"x={format_point(x)}",
@@ -385,7 +345,7 @@ def check_comfort(
                     actual=_shown(back),
                 )
             )
-    return report
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +373,4 @@ def counterexample_map() -> SimplexHomeo:
 
         return boundary_map
 
-    homeo = extend_from_boundary(on_edges(edge), 0, 0, 2, on_edges(edge.inverse_at))
-    homeo.label = "counterexample"
-    return homeo
+    return extend_from_boundary(on_edges(edge), 0, 0, 2, on_edges(edge.inverse_at))

@@ -73,10 +73,6 @@ class PLMap:
     def out_hi(self) -> Fraction:
         return self.points[-1][1]
 
-    @property
-    def domain(self) -> Tuple[Fraction, Fraction]:
-        return (self.lo, self.hi)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pts = " ".join(f"({format_rational(u)},{format_rational(v)})" for u, v in self.points)
         return f"PLMap[{pts}]"

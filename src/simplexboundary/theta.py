@@ -157,26 +157,20 @@ class ThetaKey:
         """(α, β) = (1/((L+1)(n+1)), 1/((L+1)(n+2)-i)): Θ carries the α-cross onto β."""
         return Fraction(1, (self.L + 1) * (self.n + 1)), Fraction(1, (self.L + 1) * (self.n + 2) - self.i)
 
-    def map_id(self) -> str:
-        return f"theta:L={self.L},n={self.n},i={self.i}"
-
 
 @functools.cache
 def theta(key: ThetaKey) -> SimplexHomeo:
     """The homeomorphism for ``key``, built once and cached.  A key past
     the dimension cap raises on every call; the cache keeps no errors."""
     if key.is_identity:
-        homeo = identity_homeo(key.n)
-    elif key.i == 0:
-        homeo = lambda_lift(sigma_polygon(*key.levels, Fraction(1, key.n + 1)), key.n)
-    elif key.n == 1:
+        return identity_homeo(key.n)
+    if key.i == 0:
+        return lambda_lift(sigma_polygon(*key.levels, Fraction(1, key.n + 1)), key.n)
+    if key.n == 1:
         # Base of the induction: both coordinates move through the kappa
         # polygon, which restricts to a homeomorphism of [0, 1/2].
-        homeo = lambda_lift(restrict(kappa(), 0, Fraction(1, 2)), 1)
-    else:
-        homeo = _inductive(key)
-    homeo.label = key.map_id()
-    return homeo
+        return lambda_lift(restrict(kappa(), 0, Fraction(1, 2)), 1)
+    return _inductive(key)
 
 
 def _first_zero(y: BaryPoint) -> int:

@@ -40,9 +40,9 @@ CHECKS = [
      lambda: check_boundary_squared(chain_of_term(identity_term(0)), CoefficientTuple([1, 1]), []), ValueError,
      "the double boundary needs chains of dimension >= 1"),
     # comfort
-    ("homeo dimension", lambda: identity_homeo(2)(LINE), ValueError, "identity expects dimension 2, got 1"),
-    ("homeo inverse dimension", lambda: SimplexHomeo(1, None, None, "swap").inverse_at(PLANE), ValueError,
-     "swap expects dimension 1, got 2"),
+    ("homeo dimension", lambda: identity_homeo(2)(LINE), ValueError, "map expects dimension 2, got 1"),
+    ("homeo inverse dimension", lambda: SimplexHomeo(1, None, None).inverse_at(PLANE), ValueError,
+     "map expects dimension 1, got 2"),
     # geometry
     ("empty point", lambda: parse_point("[]"), ValueError, "cannot parse point from '[]'"),
     ("center dimension", lambda: center(-1), ValueError, "dimension must be nonnegative"),

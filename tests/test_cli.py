@@ -327,6 +327,20 @@ test_config_not_utf8_exits_two = usage_errors(
 test_config_bad_integer_exits_two = usage_errors(
     (["verify-equations", "--config", b"n=abc\n"], "config key 'n': invalid literal for int() with base 10: 'abc'"),
 )
+# Keys compare after '-' becomes '_', so n-max and n_max are one key.
+test_repeated_config_key_exits_two = usage_errors(
+    (["verify-equations", "--L", "0", "--config", b"n=1\nn=2\n"], "repeated config key 'n'"),
+    (["homology", "--m", "9,4", "--config", b"n-max=1\nn_max=2\n"], "repeated config key 'n_max'"),
+)
+# An empty --out names no file: it is refused, not read as "print to stdout".
+# A verify command refuses it before any check runs.
+EMPTY_OUT = "cannot write : [Errno 2] No such file or directory: ''"
+test_empty_out_is_usage_error = usage_errors(
+    (["verify-equations", "--L", "0", "--out", ""], EMPTY_OUT),
+    (["verify-boundary", "--m", "9,4", "--n", "2", "--config", b"out=\n"], EMPTY_OUT),
+    (["homology", "--m", "9,4", "--n-max", "1", "--out", ""], EMPTY_OUT),
+    (["homology", "--m", "9,4", "--n-max", "1", "--config", b"out=\n"], EMPTY_OUT),
+)
 
 test_unsupported_family_exits_two = usage_errors(
     (["verify-equations", "--n", "1", "--L", "2"], FAMILY_L2),

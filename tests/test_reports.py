@@ -98,7 +98,7 @@ def test_failing_report_bytes(argv, tmp_path, capsys, monkeypatch):
     def swap(x):
         return BaryPoint([x[1], x[0]])
 
-    swapped = SimplexHomeo(1, swap, swap, label="swap")
+    swapped = SimplexHomeo(1, swap, swap)
     real = chain.theta
     monkeypatch.setattr(chain, "theta", lambda key: swapped if key == ThetaKey(1, 1, 1) else real(key))
     out = tmp_path / "report"
