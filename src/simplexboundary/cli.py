@@ -247,15 +247,7 @@ def _resolve_map(map_id: str) -> Tuple[int, PointMap]:
             raise UsageError(f"pi_alpha dimension {n} must be nonnegative")
         if not 0 <= alpha <= Fraction(1, n + 1):
             raise UsageError(f"pi_alpha level {alpha} outside [0, 1/{n + 1}]")
-
-        def pi_alpha(x: BaryPoint) -> BaryPoint:
-            # The center lies outside the projection's domain: a usage error.
-            try:
-                return project_layer(x, alpha)
-            except CenterProjection as exc:
-                raise UsageError(str(exc)) from exc
-
-        return n, pi_alpha
+        return n, lambda x: project_layer(x, alpha)
     else:
         homeo = counterexample_map()
     return homeo.dim, homeo
@@ -419,6 +411,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Once(argparse.Action):
+    """Store a flag's value; a second occurrence is a usage error, named
+    by the flag's full spelling even when an abbreviation matched it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise UsageError(f"repeated flag {self.option_strings[0]}")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="simplex-boundary",
@@ -428,15 +430,18 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, help_text, description, defaults) in _COMMANDS.items():
         p = subs.add_parser(name, help=help_text, description=description)
         if name == "eval":
-            p.add_argument("--map", required=True, help='map id, e.g. "theta:L=1,n=2,i=1" or "pi_alpha:n=2,alpha=1/6"')
+            p.add_argument(
+                "--map", action=_Once, required=True,
+                help='map id, e.g. "theta:L=1,n=2,i=1" or "pi_alpha:n=2,alpha=1/6"',
+            )
             p.add_argument(
                 "--point", required=True, action="append",
                 help='rational tuple, e.g. "[1/4,3/4]"; repeat for a CSV transcript',
             )
         for flag in defaults:
             kind, flag_help = _FLAGS[flag]
-            p.add_argument("--" + flag.replace("_", "-"), dest=flag, type=kind, default=None, help=flag_help)
-        p.add_argument("--config", default=None, help="key=value file setting optional flags; flags win")
+            p.add_argument("--" + flag.replace("_", "-"), action=_Once, dest=flag, type=kind, help=flag_help)
+        p.add_argument("--config", action=_Once, help="key=value file setting optional flags; flags win")
         p.set_defaults(func=func)
     return parser
 
@@ -447,7 +452,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _, _, _, defaults = _COMMANDS[args.command]
         _settle_flags(args, defaults)
         return args.func(args)
-    except (UsageError, UnsupportedL) as exc:  # a Θ that is not built is a usage error
+    except (UsageError, UnsupportedL, CenterProjection) as exc:  # also a Θ not built, π_α at the center
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     # A map refused a valid point, or a factor or module disagrees with its cross-check.

@@ -221,14 +221,13 @@ def project_layer(x: BaryPoint, alpha: Fraction) -> BaryPoint:
     is the constant map to the center; for alpha < 1/(n+1) it is
     undefined at the center.
     """
-    n = x.dim
-    k = n + 1
+    k = len(x.nums)
     alpha = alpha if type(alpha) in (int, Fraction) else Fraction(alpha)
     a, d = alpha.numerator, alpha.denominator
     if not 0 <= a * k <= d:  # 0 <= alpha <= 1/(n+1) for alpha = a/d
         raise ValueError(f"layer level {alpha} outside [0, 1/{k}]")
     if a * k == d:
-        return center(n)
+        return center(k - 1)
     # Over D, x_m = X_m/D with minimum M/D; the image coordinate is
     # (a*(D - (n+1)*M) + (d - (n+1)*a)*(X_m - M)) / (d*(D - (n+1)*M)).
     nums = x.nums

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .comfort import PointMap, SimplexHomeo, extend_from_boundary, identity_homeo, lambda_lift
-from .geometry import BaryPoint, format_point, format_rational
+from .geometry import BaryPoint, format_rational
 from .pl1d import kappa, restrict, sigma_polygon
 
 
@@ -40,10 +40,6 @@ class UnsupportedL(ValueError):
 
 class WrongSlotValue(ValueError):
     """Face deletion found a value other than v at the deletion slot."""
-
-
-class NotOnFace(ValueError):
-    """The point does not lie on the requested boundary face."""
 
 
 #: Construction of the inductive family stops at this dimension.  What
@@ -173,13 +169,6 @@ def theta(key: ThetaKey) -> SimplexHomeo:
     return _inductive(key)
 
 
-def _first_zero(y: BaryPoint) -> int:
-    try:
-        return y.nums.index(0)
-    except ValueError:
-        raise NotOnFace(f"{format_point(y)} has no zero coordinate") from None
-
-
 def _inserting(key: FaceMap) -> Tuple[PointMap, PointMap]:
     # Look the face maps up at call time, so a rebound name is what runs.
     return (lambda x: face_insert(key, x)), (lambda y: face_delete(key, y))
@@ -217,13 +206,10 @@ def _face_steps(dim: int, j: int) -> Tuple[Tuple[PointMap, PointMap], ...]:
 
 def theta1_on_face(dim: int, j: int, y: BaryPoint) -> BaryPoint:
     """Value of the inductive map on the boundary face with slot j zero:
-    the seven-map composite of ``_face_steps(dim, j)``."""
+    the seven-map composite of ``_face_steps(dim, j)``.  Its first map,
+    deleting the zero at slot j, is the one check that y lies on the face."""
     if dim < 2:
         raise ValueError("the inductive face construction starts at dimension 2")
-    if y.dim != dim:
-        raise ValueError(f"expected a point of dimension {dim}, got {y.dim}")
-    if y.nums[j] != 0:
-        raise NotOnFace(f"slot {j} of {format_point(y)} is not zero")
     for step, _ in _face_steps(dim, j):
         y = step(y)
     return y
@@ -239,10 +225,10 @@ def _inductive(key: ThetaKey) -> SimplexHomeo:
     tables = [_face_steps(n, j) for j in range(n + 1)]
 
     def on_boundary(b: BaryPoint) -> BaryPoint:
-        return theta1_on_face(n, _first_zero(b), b)
+        return theta1_on_face(n, b.nums.index(0), b)
 
     def on_boundary_inverse(c: BaryPoint) -> BaryPoint:
-        for _, inverse in reversed(tables[_first_zero(c)]):
+        for _, inverse in reversed(tables[c.nums.index(0)]):
             c = inverse(c)
         return c
 

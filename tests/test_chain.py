@@ -190,10 +190,10 @@ def patch_theta(monkeypatch, patched_key, point_map):
 
 def rejecting_theta(monkeypatch, bad_key):
     """Patch chain's Θ lookup so that the map for ``bad_key`` rejects every point."""
-    from simplexboundary.theta import NotOnFace
+    from simplexboundary.theta import WrongSlotValue
 
     def rejects(x):
-        raise NotOnFace("rejected for the test")
+        raise WrongSlotValue("rejected for the test")
 
     patch_theta(monkeypatch, bad_key, rejects)
 
@@ -207,7 +207,7 @@ def test_check_equation_records_rejections_as_witnesses(monkeypatch):
     assert len(res.witnesses) == len(grid)
     w = res.witnesses[0]
     assert (w.left, w.right) == ("-", "-")
-    assert w.detail == "NotOnFace: rejected for the test"
+    assert w.detail == "WrongSlotValue: rejected for the test"
 
 
 def level_witnesses(L):
@@ -311,7 +311,7 @@ def test_certificate_reports_rejections_with_pair(monkeypatch):
     # Every pair with a Θ(1,0,1) step on either side fails at the one grid point.
     details = [w.detail for w in res.witnesses]
     assert len(details) == 9  # the 12 pairs less the three with i = k = 0
-    assert details[0] == "maps of (0, 0, 0, 1) and (1, 0, 1, 0) disagree: NotOnFace: rejected for the test"
+    assert details[0] == "maps of (0, 0, 0, 1) and (1, 0, 1, 0) disagree: WrongSlotValue: rejected for the test"
     assert all(d.startswith("maps of ") for d in details)
 
 

@@ -23,7 +23,7 @@ from simplexboundary.pl1d import (
     tau_at,
     tau_polygon,
 )
-from simplexboundary.theta import FaceMap, NotOnFace, ThetaKey, _first_zero, theta1_on_face
+from simplexboundary.theta import FaceMap, ThetaKey, WrongSlotValue, theta1_on_face
 
 LINE = BaryPoint([F(1, 4), F(3, 4)])
 PLANE = BaryPoint([F(1, 6), F(1, 3), F(1, 2)])
@@ -65,11 +65,13 @@ CHECKS = [
     ("face map parameters", lambda: FaceMap(0, 0, 0, 0), ValueError, "invalid face map parameters L=0, n=0"),
     ("theta dimension", lambda: ThetaKey(1, -1, 0), ValueError, "negative dimension -1"),
     ("theta index", lambda: ThetaKey(1, 2, 2), ValueError, "index 2 outside 0..1"),
-    ("face zero", lambda: _first_zero(PLANE), NotOnFace, "[1/6,1/3,1/2] has no zero coordinate"),
+    # The face table's first map, deleting the zero at slot j, checks the point.
+    ("face zero", lambda: theta1_on_face(2, 0, PLANE), WrongSlotValue, "slot 0 holds 1/6, expected 0"),
     ("face dimension", lambda: theta1_on_face(1, 0, LINE), ValueError,
      "the inductive face construction starts at dimension 2"),
     ("face point dimension", lambda: theta1_on_face(2, 0, LINE), ValueError,
-     "expected a point of dimension 2, got 1"),
+     "face deletion expects dimension 2, got 1"),
+    ("face slot range", lambda: theta1_on_face(2, 5, PLANE), ValueError, "face map slot 5 outside 0..2"),
 ]
 
 

@@ -332,6 +332,14 @@ test_repeated_config_key_exits_two = usage_errors(
     (["verify-equations", "--L", "0", "--config", b"n=1\nn=2\n"], "repeated config key 'n'"),
     (["homology", "--m", "9,4", "--config", b"n-max=1\nn_max=2\n"], "repeated config key 'n_max'"),
 )
+# A flag given twice is refused like a repeated config key, by its full
+# spelling even when an abbreviation matched it; only --point repeats.
+test_repeated_flag_exits_two = usage_errors(
+    (["homology", "--m", "9,4", "--n-max", "1", "--n-max", "2"], "repeated flag --n-max"),
+    (["homology", "--m", "9,4", "--n-m", "1", "--n-max", "2"], "repeated flag --n-max"),
+    (["homology", "--m", "9,4", "--config", b"n_max=1\n", "--config", b"n_max=1\n"], "repeated flag --config"),
+    (["eval", "--map", "theta:L=1,n=1,i=1", "--map", "theta:L=1,n=1,i=0", *POINT], "repeated flag --map"),
+)
 # An empty --out names no file: it is refused, not read as "print to stdout".
 # A verify command refuses it before any check runs.
 EMPTY_OUT = "cannot write : [Errno 2] No such file or directory: ''"

@@ -21,7 +21,6 @@ from simplexboundary.geometry import (
 from simplexboundary.pl1d import kappa, pl_eval, restrict, sigma_polygon
 from simplexboundary.theta import (
     FaceMap,
-    NotOnFace,
     ThetaKey,
     UnsupportedL,
     WrongSlotValue,
@@ -296,7 +295,7 @@ def test_check_family_says_which_theta_exist():
 
 
 def test_theta1_on_face_requires_zero_slot():
-    with pytest.raises(NotOnFace):
+    with pytest.raises(WrongSlotValue):
         theta1_on_face(2, 0, BaryPoint([F(1, 6), F(1, 6), F(2, 3)]))
 
 
