@@ -344,7 +344,6 @@ class CancellationCheck:
     summands_total: int
     pairs_checked: int
     consumed: int
-    points_checked: int
     trivial: bool
     grid_meta: dict
     witnesses: List[Witness] = field(default_factory=list)
@@ -395,7 +394,7 @@ def check_boundary_squared(
         raise ValueError("the double boundary needs chains of dimension >= 1")
     check = CancellationCheck(
         dim=d, L=L, m=tuple(m), summands_total=0, pairs_checked=0, consumed=0,
-        points_checked=0, trivial=d == 1, grid_meta={**(grid_meta or {}), "size": len(grid)},
+        trivial=d == 1, grid_meta={**(grid_meta or {}), "size": len(grid)},
     )
     if check.trivial:
         return check
@@ -427,7 +426,6 @@ def check_boundary_squared(
             if equations is None:
                 equations = {(r.j, r.p, r.i, r.k): r for r in check_equation(d - 1, grid, L)}
             maps = equations[j, p, i, k]
-            check.points_checked += maps.points_checked
             for w in maps.witnesses:
                 detail = f"maps of {(j, p, i, k)} and {partner} disagree"
                 if w.detail:

@@ -187,8 +187,6 @@ def cmd_verify_boundary(args) -> int:
     if args.n_max is None:
         args.n_max = args.n
     m = _parse_m(args.m)
-    if args.L is not None and args.L != m.L:
-        raise UsageError(f"--L {args.L} contradicts the coefficient tuple of length {len(m)}")
     _check_levels(args, m.L, args.n_max - 1)
     runs = []
     dims = range(args.n, args.n_max + 1)
@@ -335,8 +333,6 @@ def _figure_svg(segments) -> str:
 
 
 def cmd_figure(args) -> int:
-    if args.n is not None and args.n != 2:
-        raise UsageError("figure export is planar and needs dimension 2")
     m = _parse_m(args.m) if args.m else None
     alpha = None
     if args.alpha:
@@ -396,10 +392,10 @@ _COMMANDS = {
                          {"n": 1, "n_max": None, "L": 1, **_GRID}),
     "verify-boundary": (cmd_verify_boundary, "run the double-boundary cancellation certificate",
                         "--n/--n-max give the dimension of the identity chain the operator is squared on.",
-                        {"n": 2, "n_max": None, "L": None, "m": "1,1", **_GRID}),
+                        {"n": 2, "n_max": None, "m": "1,1", **_GRID}),
     "eval": (cmd_eval, "evaluate a named map at one or more points", None, {"format": None, "out": None}),
     "figure": (cmd_figure, "export the planar boundary figure (dimension 2)", None,
-               {"alpha": None, "n": None, "m": None, "format": "csv", "out": None}),
+               {"alpha": None, "m": None, "format": "csv", "out": None}),
     "homology": (cmd_homology, "print the point homology table", None, {"n_max": 8, "m": "1", "out": None}),
 }
 

@@ -52,8 +52,8 @@ def test_closed_form_is_checked_against_the_chain_complex(monkeypatch):
         return 7 if n == 4 else real(n, m)
 
     monkeypatch.setattr(homology_point, "point_boundary_map", wrong_in_degree_4)
-    assert point_homology(2, m) == "0"  # reads the factors of degrees 2 and 3
-    message = "^symbolic homology Z/13 disagrees with kernel/image Z/7 in degree 3$"
+    assert point_homology(2, m) == "0"  # reads the factors of degrees 0..3
+    message = "^boundary factor 7 in degree 4 disagrees with the closed form 13$"
     with pytest.raises(AssertionError, match=message):
         point_homology(3, m)
 
@@ -67,12 +67,24 @@ def test_consecutive_boundary_maps_compose_to_zero():
             assert a * b == 0
 
 
+def closed_form_homology(n, s):
+    # The closed form in the degree parity and the coefficient sum s:
+    # Z in degree 0 and wherever s = 0, Z/|s| in odd degrees, else 0.
+    if s == 0 or n == 0:
+        return "Z"
+    if n % 2 == 0:
+        return "0"
+    return "0" if abs(s) == 1 else f"Z/{abs(s)}"
+
+
 def test_homology_agrees_with_kernel_image_for_various_sums():
-    # point_homology raises internally on any symbolic/direct mismatch.
-    for entries in ([-2], [1, -1], [1], [2], [9, 4]):
+    # The kernel/image of the checked factors against the closed form.
+    for entries in ([-2], [1, -1], [1], [2], [9, 4], [0], [13]):
         m = CoefficientTuple(entries)
+        rows = homology_table(m, 20)
+        assert [hn for _, _, hn in rows] == [closed_form_homology(n, sigma(m)) for n in range(21)]
         for n in range(21):
-            point_homology(n, m)
+            assert point_homology(n, m) == closed_form_homology(n, sigma(m))
 
 
 def test_chain_boundary_reproduces_scalar_maps():
@@ -125,4 +137,4 @@ def test_table_reads_each_factor_once(monkeypatch):
     assert calls == list(range(10))
     calls.clear()
     assert point_homology(3, m) == "Z/13"
-    assert calls == [3, 4]
+    assert calls == [0, 1, 2, 3, 4]
