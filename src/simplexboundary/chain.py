@@ -350,7 +350,7 @@ class CancellationCheck:
 
     @property
     def verdict(self) -> bool:
-        return not self.witnesses and (self.trivial or self.consumed == self.summands_total)
+        return not self.witnesses and self.consumed == self.summands_total
 
     def to_json(self) -> dict:
         return {

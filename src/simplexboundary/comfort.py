@@ -46,6 +46,7 @@ from .geometry import (
 )
 from .pl1d import (
     PLMap,
+    cross_levels,
     pl_eval,
     pl_inverse,
     polygon,
@@ -64,10 +65,6 @@ class BadDomain(ValueError):
 
 class EndpointNotFixed(ValueError):
     """The 1-D map moves an endpoint of its interval."""
-
-
-class BadLevels(ValueError):
-    """Layer or cross levels outside the range the construction supports."""
 
 
 class SimplexHomeo:
@@ -198,29 +195,24 @@ def _ray_extension(
 def extend_from_layer(phi: PointMap, alpha, beta, n: int, phi_inverse: PointMap) -> SimplexHomeo:
     """Extend a homeomorphism between the α- and β-layers to the simplex.
 
-    Allowed level pairs: 0 < α, β <= 1/(n+1), or α = β = 0.  Each ray
-    from the center is mapped onto the ray through the image of its
-    layer point; the position on the ray is reparametrized by the
-    three-point polygon matching α to β, the same on every ray.  The
-    inverse is the extension of ``phi_inverse`` from β to α.
+    Each ray from the center is mapped onto the ray through the image of
+    its layer point; the position on the ray is reparametrized by the
+    three-point polygon ``sigma_polygon(α, β, 1/(n+1))``, the same on
+    every ray, which also decides the levels it accepts.  The inverse is
+    the extension of ``phi_inverse`` from β to α.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    cval = Fraction(1, n + 1)
-    if not (alpha == beta == 0 or 0 < alpha <= cval and 0 < beta <= cval):
-        raise BadLevels(f"unsupported layer levels ({alpha}, {beta})")
-    if (alpha == cval) != (beta == cval):
-        raise BadLevels(f"a layer homeomorphism cannot pair {alpha} with {beta}")
-    if alpha == cval:
+    k = n + 1
+    sig = sigma_polygon(alpha, beta, Fraction(1, k))
+    if alpha == beta == sig.hi:
         return identity_homeo(n)
 
-    def extension(f: PointMap, lo: Fraction, hi: Fraction) -> PointMap:
-        # A ray's layer point is the layer point of its boundary point, and
-        # the ray parameter of a point at level a is a*(n+1).
-        sig = sigma_polygon(lo * (n + 1), hi * (n + 1), 1)
+    def extension(f: PointMap, g: PLMap, lo) -> PointMap:
+        # A ray's layer point is the layer point of its boundary point; at
+        # level a, the ray parameter t = a*(n+1) maps to (n+1)*g(a).
         foot = lambda b: project_boundary(f(project_layer(b, lo)))
-        return _ray_extension(foot, lambda b, c, p, q: pl_eval(sig, Fraction(p, q)), n)
+        return _ray_extension(foot, lambda b, c, p, q: k * pl_eval(g, Fraction(p, k * q)), n)
 
-    forward, inverse = extension(phi, alpha, beta), extension(phi_inverse, beta, alpha)
+    forward, inverse = extension(phi, sig, alpha), extension(phi_inverse, pl_inverse(sig), beta)
     return SimplexHomeo(n, forward, inverse)
 
 
@@ -239,13 +231,10 @@ def extend_from_boundary(phi: PointMap, alpha, beta, n: int, phi_inverse: PointM
     never crosses α, and a minimal coordinate maps to 0), so its per-ray
     polygon over c = phi(b) has the swapped breakpoints of tau[b].
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    cval = Fraction(1, n + 1)
-    if not (0 <= alpha < cval and 0 <= beta < cval):
-        raise BadLevels(f"cross levels ({alpha}, {beta}) must lie in [0, 1/{n + 1})")
-
-    forward = _ray_extension(phi, lambda b, c, p, q: tau_at(b, c, alpha, beta, p, q), n)
-    inverse = _ray_extension(phi_inverse, lambda b, c, p, q: tau_at(b, c, beta, alpha, p, q), n)
+    levels = cross_levels(alpha, beta, n + 1)
+    swapped = levels[2:] + levels[:2]
+    forward = _ray_extension(phi, lambda b, c, p, q: tau_at(b, c, levels, p, q), n)
+    inverse = _ray_extension(phi_inverse, lambda b, c, p, q: tau_at(b, c, swapped, p, q), n)
     return SimplexHomeo(n, forward, inverse)
 
 

@@ -329,7 +329,7 @@ class _DistinctLattice(abc.Sequence):
 def sponge_points(
     n: int,
     denominator: int = DEFAULT_DENOMINATOR,
-    cap: Optional[int] = 64,
+    cap: int = 64,
     seed: int = DEFAULT_SEED,
 ) -> List[BaryPoint]:
     """Points of the denominator-D lattice with pairwise distinct coordinates.
@@ -337,8 +337,7 @@ def sponge_points(
     For dimensions 1 and 2 the set is indexed in product order and, when
     larger than ``cap``, subsampled deterministically; only the sampled
     tuples are built.  For higher dimensions the set is sampled directly
-    by seeded rejection, since the lattice grows combinatorially; there
-    ``cap=None`` would ask for the whole lattice and raises ``ValueError``.
+    by seeded rejection, since the lattice grows combinatorially.
     """
     if n == 0:
         return [BaryPoint((1,))]
@@ -350,11 +349,9 @@ def sponge_points(
     if k <= 3:
         # Sample the indexed numerator tuples; only the kept ones become points.
         lattice = _DistinctLattice(denominator, k)
-        if cap is not None and len(lattice) > cap:
+        if len(lattice) > cap:
             lattice = rng.sample(lattice, cap)
     else:
-        if cap is None:
-            raise ValueError(f"dimension {n} needs a cap: sampling cannot list the whole lattice")
         lattice = []
         seen = set()
         attempts = 0
@@ -389,7 +386,7 @@ def canonical_grid(
     n: int,
     denominator: int = DEFAULT_DENOMINATOR,
     seed: int = DEFAULT_SEED,
-    sponge_cap: Optional[int] = 64,
+    sponge_cap: int = 64,
     random_count: int = 64,
 ) -> List[BaryPoint]:
     """The reproducible verification grid: sponge lattice plus random points."""

@@ -31,6 +31,9 @@ Breakpoint = Tuple[Fraction, Fraction]
 #: f(t) = (a*t + b)/C for the table's common denominator C.
 Piece = Tuple[int, int, int, int]
 
+#: The levels α = pa/qa and β = pb/qb of a ray polygon as (pa, qa, pb, qb).
+Levels = Tuple[int, int, int, int]
+
 
 class NonMonotone(ValueError):
     """Breakpoints do not describe a strictly increasing map."""
@@ -220,10 +223,21 @@ def sigma_polygon(alpha, beta, hi) -> PLMap:
     return polygon([(0, 0), (alpha, beta), (hi, hi)])
 
 
-def _tau_breakpoints(b: BaryPoint, c: BaryPoint, alpha, beta) -> List[Tuple[int, int, int, int]]:
+def cross_levels(alpha, beta, k: int) -> Levels:
+    """The levels of the ray polygons of the (k-1)-simplex, checked to lie
+    in [0, 1/k)."""
+    alpha, beta = _exact(alpha), _exact(beta)
+    pa, qa, pb, qb = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    if not (0 <= pa and k * pa < qa and 0 <= pb and k * pb < qb):
+        raise ValueError(f"levels ({alpha}, {beta}) must lie in [0, 1/{k})")
+    return pa, qa, pb, qb
+
+
+def _tau_breakpoints(b: BaryPoint, c: BaryPoint, levels: Levels) -> List[Tuple[int, int, int, int]]:
     """The breakpoints of ``tau_polygon(b, c, alpha, beta)``, in ascending
     order and before normalization, each as integers (u, du, v, dv) for
-    the pair (u/du, v/dv) with du, dv > 0; every check of ``tau_polygon``
+    the pair (u/du, v/dv) with du, dv > 0, from the checked ``levels =
+    cross_levels(alpha, beta, n+1)``; every other check of ``tau_polygon``
     runs here.
 
     With b = B/Db, α = pa/qa and k = n+1, b_j <= α reads qa*B_j <= pa*Db
@@ -239,10 +253,7 @@ def _tau_breakpoints(b: BaryPoint, c: BaryPoint, alpha, beta) -> List[Tuple[int,
     if len(b.nums) != len(c.nums):
         raise ValueError("boundary point and image have different dimensions")
     k = len(b.nums)
-    alpha, beta = _exact(alpha), _exact(beta)
-    pa, qa, pb, qb = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
-    if not (0 <= pa and k * pa < qa and 0 <= pb and k * pb < qb):
-        raise ValueError(f"levels ({alpha}, {beta}) must lie in [0, 1/{k})")
+    pa, qa, pb, qb = levels
     B, Db, Cn, Dc = b.nums, b.den, c.nums, c.den
     if min(B) != 0 or min(Cn) != 0:
         raise ValueError("tau is defined for boundary points only")
@@ -250,8 +261,8 @@ def _tau_breakpoints(b: BaryPoint, c: BaryPoint, alpha, beta) -> List[Tuple[int,
     for j, (bj, cj) in enumerate(zip(B, Cn)):
         if (qa * bj == level_b) != (qb * cj == level_c):
             raise CrossMismatch(
-                f"component {format_rational(b[j])} of b sits on level {alpha} "
-                f"but its image {format_rational(c[j])} misses level {beta}"
+                f"component {format_rational(b[j])} of b sits on level {Fraction(pa, qa)} "
+                f"but its image {format_rational(c[j])} misses level {Fraction(pb, qb)}"
             )
     below = set()
     for j, (bj, cj) in enumerate(zip(B, Cn)):
@@ -278,18 +289,19 @@ def tau_polygon(b: BaryPoint, c: BaryPoint, alpha, beta) -> PLMap:
     through ((α-b_j)/(1/(n+1)-b_j), (β-c_j)/(1/(n+1)-c_j)); coincident
     pairs collapse.  Monotonicity of the resulting breakpoints encodes
     that the boundary map keeps the order and matches the crosses.
-    The breakpoints and their checks are ``_tau_breakpoints``.
+    ``cross_levels`` checks the levels, and the breakpoints and their
+    other checks are ``_tau_breakpoints``.
     """
-    points = _tau_breakpoints(b, c, alpha, beta)
+    points = _tau_breakpoints(b, c, cross_levels(alpha, beta, len(b.nums)))
     return _normalized([(Fraction(u, du), Fraction(v, dv)) for u, du, v, dv in points])
 
 
-def tau_at(b: BaryPoint, c: BaryPoint, alpha, beta, p: int, q: int) -> Fraction:
+def tau_at(b: BaryPoint, c: BaryPoint, levels: Levels, p: int, q: int) -> Fraction:
     """``pl_eval(tau_polygon(b, c, alpha, beta), p/q)`` for integers
-    0 <= p/q <= 1, q > 0, with no map built: the first breakpoint with
-    p/q <= u/du ends the piece, and the value on it is formed over
-    integers and reduced once."""
-    points = _tau_breakpoints(b, c, alpha, beta)
+    0 <= p/q <= 1, q > 0 and ``levels = cross_levels(alpha, beta, n+1)``,
+    with no map built: the first breakpoint with p/q <= u/du ends the
+    piece, and the value on it is formed over integers and reduced once."""
+    points = _tau_breakpoints(b, c, levels)
     if p >= 0:
         for (u0, du0, v0, dv0), (u1, du1, v1, dv1) in zip(points, points[1:]):
             if p * du1 <= u1 * q:

@@ -12,7 +12,7 @@ from simplexboundary.chain import (
     check_boundary_squared,
     identity_term,
 )
-from simplexboundary.comfort import SimplexHomeo, identity_homeo
+from simplexboundary.comfort import SimplexHomeo, extend_from_boundary, extend_from_layer, identity_homeo
 from simplexboundary.geometry import BaryPoint, center, parse_point, vertex
 from simplexboundary.homology_point import point_homology
 from simplexboundary.pl1d import (
@@ -20,7 +20,6 @@ from simplexboundary.pl1d import (
     identity_map,
     restrict,
     sigma_polygon,
-    tau_at,
     tau_polygon,
 )
 from simplexboundary.theta import FaceMap, ThetaKey, WrongSlotValue, theta1_on_face
@@ -28,6 +27,7 @@ from simplexboundary.theta import FaceMap, ThetaKey, WrongSlotValue, theta1_on_f
 LINE = BaryPoint([F(1, 4), F(3, 4)])
 PLANE = BaryPoint([F(1, 6), F(1, 3), F(1, 2)])
 EDGE = BaryPoint([0, F(1, 3), F(2, 3)])
+ID = lambda b: b
 
 CHECKS = [
     # chain
@@ -43,6 +43,12 @@ CHECKS = [
     ("homeo dimension", lambda: identity_homeo(2)(LINE), ValueError, "map expects dimension 2, got 1"),
     ("homeo inverse dimension", lambda: SimplexHomeo(1, None, None).inverse_at(PLANE), ValueError,
      "map expects dimension 1, got 2"),
+    ("layer levels zero", lambda: extend_from_layer(ID, 0, F(1, 6), 2, ID), ValueError,
+     "levels (0, 1/6) must lie strictly inside (0, 1/3)"),
+    ("layer levels center", lambda: extend_from_layer(ID, F(1, 3), F(1, 6), 2, ID), ValueError,
+     "levels (1/3, 1/6) must lie strictly inside (0, 1/3)"),
+    ("boundary levels", lambda: extend_from_boundary(ID, F(1, 3), F(1, 6), 2, ID), ValueError,
+     "levels (1/3, 1/6) must lie in [0, 1/3)"),
     # geometry
     ("empty point", lambda: parse_point("[]"), ValueError, "cannot parse point from '[]'"),
     ("center dimension", lambda: center(-1), ValueError, "dimension must be nonnegative"),
@@ -57,7 +63,7 @@ CHECKS = [
      "levels (0, 1/2) must lie strictly inside (0, 1)"),
     ("tau dimensions", lambda: tau_polygon(EDGE, BaryPoint([0, 1]), F(1, 6), F(1, 7)), ValueError,
      "boundary point and image have different dimensions"),
-    ("tau levels", lambda: tau_at(EDGE, EDGE, F(1, 3), F(1, 7), 1, 2), ValueError,
+    ("tau levels", lambda: tau_polygon(EDGE, EDGE, F(1, 3), F(1, 7)), ValueError,
      "levels (1/3, 1/7) must lie in [0, 1/3)"),
     ("tau boundary", lambda: tau_polygon(PLANE, PLANE, F(1, 6), F(1, 7)), ValueError,
      "tau is defined for boundary points only"),

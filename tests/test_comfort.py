@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from simplexboundary.comfort import (
     BadDomain,
-    BadLevels,
     ComfortViolation,
     EndpointNotFixed,
     SimplexHomeo,
@@ -34,6 +33,7 @@ from simplexboundary.pl1d import (
     CrossMismatch,
     NonMonotone,
     _tau_breakpoints,
+    cross_levels,
     identity_map,
     pl_compose,
     pl_eval,
@@ -164,13 +164,6 @@ def test_layer_extension_identity_cases():
         assert top(x) == x
 
 
-def test_layer_extension_level_errors():
-    with pytest.raises(BadLevels):
-        extend_from_layer(lambda b: b, 0, F(1, 6), 2, phi_inverse=lambda b: b)
-    with pytest.raises(BadLevels):
-        extend_from_layer(lambda b: b, F(1, 3), F(1, 6), 2, phi_inverse=lambda b: b)
-
-
 def _layer_phi(n, alpha, beta):
     """A genuine layer homeomorphism: restriction of a lift moving α to β."""
     f = sigma_polygon(alpha, beta, F(1, n + 1))
@@ -229,11 +222,6 @@ def test_boundary_extension_identity():
     ext = extend_from_boundary(lambda b: b, F(1, 6), F(1, 6), 2, phi_inverse=lambda b: b)
     for x in small_grid(2):
         assert ext(x) == x
-
-
-def test_boundary_extension_level_errors():
-    with pytest.raises(BadLevels):
-        extend_from_boundary(lambda b: b, F(1, 3), F(1, 6), 2, phi_inverse=lambda b: b)
 
 
 def _boundary_phi(n, alpha, beta):
@@ -505,11 +493,11 @@ def test_boundary_extension_matches_reference_on_random_lifts(data):
     # tau_at against the polygon at every breakpoint and between any two,
     # with the parameter also unreduced, as the ray passes it.
     c = lift(b)
-    tau = tau_polygon(b, c, alpha, beta)
-    inputs = [F(u, du) for u, du, _, _ in _tau_breakpoints(b, c, alpha, beta)]
+    tau, levels = tau_polygon(b, c, alpha, beta), cross_levels(alpha, beta, n + 1)
+    inputs = [F(u, du) for u, du, _, _ in _tau_breakpoints(b, c, levels)]
     for s in inputs + [(u0 + u1) / 2 for u0, u1 in zip(inputs, inputs[1:])]:
         for scale in (1, data.draw(st.sampled_from(PRIMES))):
-            assert tau_at(b, c, alpha, beta, s.numerator * scale, s.denominator * scale) == pl_eval(tau, s)
+            assert tau_at(b, c, levels, s.numerator * scale, s.denominator * scale) == pl_eval(tau, s)
 
 
 def test_counterexample_matches_reference():

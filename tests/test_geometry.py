@@ -439,15 +439,6 @@ def test_sponge_points_are_sponge():
             assert all(60 % c.denominator == 0 for c in x)
 
 
-def test_sponge_points_without_cap_above_dimension_two_is_an_error():
-    # Sampling cannot list the whole lattice; a silent default cap would
-    # return fewer points than a large explicit one (64 against 216 here).
-    with pytest.raises(ValueError, match="needs a cap"):
-        sponge_points(3, 12, cap=None)
-    # In dimensions 1 and 2 the lattice is indexed, so no cap lists all of it.
-    assert len(sponge_points(2, 12, cap=None)) == len(sponge_points(2, 12, cap=1000))
-
-
 def reference_sponge_lattice(n, denominator):
     """A point for every lattice point with distinct coordinates, in the
     order the enumerate-then-sample grid (dimensions 1 and 2) kept them."""
@@ -465,7 +456,7 @@ def reference_sponge_lattice(n, denominator):
 
 def reference_sponge_sample(points, n, cap, seed):
     rng = random.Random(seed * 1_000_003 + 9_973 + n)
-    if cap is not None and len(points) > cap:
+    if len(points) > cap:
         return rng.sample(points, cap)
     return points
 
@@ -490,7 +481,7 @@ def test_sponge_points_match_enumerate_then_sample(n):
             continue
         lattice = reference_sponge_lattice(n, denominator)
         for seed in (0, 1, 7, DEFAULT_SEED):
-            for cap in (64, 8, None):
+            for cap in (64, 8):
                 got = sponge_points(n, denominator, cap, seed)
                 want = reference_sponge_sample(lattice, n, cap, seed)
                 assert len(got) == len(want)

@@ -15,6 +15,7 @@ from simplexboundary.pl1d import (
     OutOfDomain,
     PLMap,
     _normalized,
+    cross_levels,
     identity_map,
     kappa,
     pl_compose,
@@ -423,9 +424,11 @@ def test_tau_polygon_derived_breakpoint():
     assert pl_eval(tau, F(1, 2)) == F(3, 7)
     # tau_at reads the same value off the breakpoints, from an unreduced
     # parameter, and refuses one outside [0, 1].
-    assert tau_at(b, c, F(1, 6), F(1, 7), 3, 6) == F(3, 7)
+    levels = cross_levels(F(1, 6), F(1, 7), 3)
+    assert levels == (1, 6, 1, 7)
+    assert tau_at(b, c, levels, 3, 6) == F(3, 7)
     for p, q, shown in ((3, 2, "3/2"), (-1, 4, "-1/4")):
-        assert outcome(tau_at, b, c, F(1, 6), F(1, 7), p, q) == (OutOfDomain, f"{shown} outside [0, 1]")
+        assert outcome(tau_at, b, c, levels, p, q) == (OutOfDomain, f"{shown} outside [0, 1]")
 
 
 def test_tau_polygon_degenerate_breakpoint_at_origin():

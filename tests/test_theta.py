@@ -269,8 +269,6 @@ def test_built_theta1_looks_up_no_theta(monkeypatch):
 
 
 def test_theta_dim_cap():
-    with pytest.raises(ValueError, match="up to dimension 8"):
-        theta(ThetaKey(1, 9, 1))
     # The cap binds only the inductive maps: lifts and L = 0 build past it.
     assert theta(ThetaKey(1, 12, 0))(center(12)) == center(12)
     assert theta(ThetaKey(0, 12, 0))(vertex(12, 3)) == vertex(12, 3)
