@@ -296,6 +296,11 @@ def test_check_equation_builds_each_inner_composite_once(monkeypatch, n, L):
     assert len(calls) == len(grid) * (S + (n + 1) * (L + 1))
 
 
+def test_check_equation_past_dimension_cap_raises():
+    with pytest.raises(ValueError, match="up to dimension 8"):
+        check_equation(9, [])
+
+
 def test_certificate_reports_rejections_with_pair(monkeypatch):
     rejecting_theta(monkeypatch, ThetaKey(1, 0, 1))
     res = check_boundary_squared(

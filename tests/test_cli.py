@@ -124,6 +124,16 @@ def test_eval_transcript_csv(capsys):
     ]
 
 
+def test_eval_map_failure_at_a_valid_point_exits_one(capsys, monkeypatch):
+    def refuse(x):
+        raise ValueError("no image here")
+
+    monkeypatch.setattr(cli, "theta", lambda key: SimplexHomeo(key.n, refuse, refuse))
+    code, stdout, stderr = run(capsys, "eval", "--map", "theta:L=1,n=1,i=1", "--point", "[1/4,3/4]")
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: no image here\n"
+
+
 def raising(kind):
     def stand_in(*args, **kwargs):
         raise kind("boom")
