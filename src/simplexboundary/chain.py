@@ -235,12 +235,6 @@ class Witness:
     right: str
     detail: str = ""
 
-    def to_json(self) -> dict:
-        out = {"point": self.point, "left": self.left, "right": self.right}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
 
 @dataclass
 class EquationCheck:
@@ -252,7 +246,6 @@ class EquationCheck:
     p: int
     i: int
     k: int
-    grid_meta: dict
     points_checked: int
     witnesses: List[Witness] = field(default_factory=list)
 
@@ -260,30 +253,13 @@ class EquationCheck:
     def verdict(self) -> bool:
         return not self.witnesses
 
-    def to_json(self) -> dict:
-        return {
-            "check": "equation",
-            "parameters": {"n": self.n, "L": self.L, "j": self.j, "p": self.p, "i": self.i, "k": self.k},
-            "grid": self.grid_meta,
-            "verdict": "pass" if self.verdict else "fail",
-            "points_checked": self.points_checked,
-            "witnesses": [w.to_json() for w in self.witnesses],
-        }
 
-
-def check_equation(
-    n: int,
-    grid: Sequence[BaryPoint],
-    L: int = 1,
-    grid_meta: Optional[dict] = None,
-) -> List[EquationCheck]:
+def check_equation(n: int, grid: Sequence[BaryPoint], L: int = 1) -> List[EquationCheck]:
     """Exact grid agreement of the two sides of every instance at level n.
 
     One result per instance, in ``equation_instances(n, L)`` order; the
     sides of (j, p, i, k) are the summands (j,p,i,k) and (p+1,j,k,i) of
-    one expansion of the double boundary of the identity (n+1)-chain.
-    Every report's grid object is a copy of ``grid_meta`` (the grid's
-    origin, such as its denominator and seed) plus the grid's size.  The
+    one expansion of the double boundary of the identity (n+1)-chain.  The
     sides that share an inner face share their inner composite at a
     point, so the check runs point by point: every instance at one point,
     with one ``SingularTerm.evaluate`` memo for that point, dropped
@@ -301,13 +277,10 @@ def check_equation(
     summands = {key: term for key, _, term in _double_boundary(identity_term(n + 1), weights)}
     for term in summands.values():  # every summand is a side of exactly one instance
         term.steps  # resolve the Θ maps before the loop: one that is not built raises here
-    grid_meta = {**(grid_meta or {}), "size": len(grid)}  # a copy: the caller's dict stays as it is
     results, sides = [], []
     for (j, p, i, k) in equation_instances(n, L):
         sides.append((summands[j, p, i, k], summands[p + 1, j, k, i]))
-        results.append(
-            EquationCheck(n=n, L=L, j=j, p=p, i=i, k=k, grid_meta=grid_meta, points_checked=len(grid))
-        )
+        results.append(EquationCheck(n=n, L=L, j=j, p=p, i=i, k=k, points_checked=len(grid)))
     for x in grid:
         values: Dict[tuple, BaryPoint] = {}
         for (left, right), result in zip(sides, results):
@@ -345,33 +318,14 @@ class CancellationCheck:
     pairs_checked: int
     consumed: int
     trivial: bool
-    grid_meta: dict
     witnesses: List[Witness] = field(default_factory=list)
 
     @property
     def verdict(self) -> bool:
         return not self.witnesses and self.consumed == self.summands_total
 
-    def to_json(self) -> dict:
-        return {
-            "check": "boundary-squared",
-            "parameters": {"n": self.dim - 1, "L": self.L, "m": list(self.m)},
-            "grid": self.grid_meta,
-            "verdict": "pass" if self.verdict else "fail",
-            "summands": self.summands_total,
-            "pairs_checked": self.pairs_checked,
-            "consumed": self.consumed,
-            "trivial": self.trivial,
-            "witnesses": [w.to_json() for w in self.witnesses],
-        }
 
-
-def check_boundary_squared(
-    c: Chain,
-    m: CoefficientTuple,
-    grid: Sequence[BaryPoint],
-    grid_meta: Optional[dict] = None,
-) -> CancellationCheck:
+def check_boundary_squared(c: Chain, m: CoefficientTuple, grid: Sequence[BaryPoint]) -> CancellationCheck:
     """Pair the summands of the double boundary and certify cancellation.
 
     Each summand of the expansion is indexed by (j, p, i, k); the summand
@@ -384,18 +338,15 @@ def check_boundary_squared(
     one ``check_equation`` call for the whole level, made at the first
     pair that needs it, decides that on the grid for every pair.  For
     dimension-1 chains the second boundary is the zero map by definition
-    and the certificate is trivial.  The report's grid object is a copy
-    of ``grid_meta`` plus the grid's size, as in ``check_equation``.
+    and the certificate is trivial.
     """
     L = m.L
     check_family(L)
     d = c.dim
     if d < 1:
         raise ValueError("the double boundary needs chains of dimension >= 1")
-    check = CancellationCheck(
-        dim=d, L=L, m=tuple(m), summands_total=0, pairs_checked=0, consumed=0,
-        trivial=d == 1, grid_meta={**(grid_meta or {}), "size": len(grid)},
-    )
+    check = CancellationCheck(dim=d, L=L, m=tuple(m), summands_total=0, pairs_checked=0, consumed=0,
+                              trivial=d == 1)
     if check.trivial:
         return check
     equations = None  # the identity at level d-1, run once, on the first pair that needs it

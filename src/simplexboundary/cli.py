@@ -124,16 +124,28 @@ def _check_writable(out: Optional[str]) -> None:
         raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
-def _report(check: str, parameters: dict, origin: dict, key: str, results: list, out: Optional[str]) -> int:
+def _item(check: str, parameters: dict, origin: dict, grid: list, res, **counts) -> dict:
+    """The report item of the check result ``res`` on ``grid``: its grid
+    object is ``origin`` plus the grid's size, ``counts`` are the counts
+    it reports, and a witness's detail is written only when it has one."""
+    witnesses = [
+        {"point": w.point, "left": w.left, "right": w.right, **({"detail": w.detail} if w.detail else {})}
+        for w in res.witnesses
+    ]
+    return {"check": check, "parameters": parameters, "grid": {**origin, "size": len(grid)},
+            "verdict": "pass" if res.verdict else "fail", **counts, "witnesses": witnesses}
+
+
+def _report(check: str, parameters: dict, origin: dict, key: str, items: list, out: Optional[str]) -> int:
     """Write the JSON report of a verify command to ``out`` (if given),
-    print its summary line, and return the exit code: 0 when every result
-    passes, else 1.  ``key`` names the list of results in the report."""
-    all_pass = all(r.verdict for r in results)
+    print its summary line, and return the exit code: 0 when every item
+    passes, else 1.  ``key`` names the list of items in the report."""
+    all_pass = all(item["verdict"] == "pass" for item in items)
     if out is not None:
         report = {"check": check, "parameters": parameters, "grid": origin,
-                  "verdict": "pass" if all_pass else "fail", key: [r.to_json() for r in results]}
+                  "verdict": "pass" if all_pass else "fail", key: items}
         _write_or_print(json.dumps(report, sort_keys=True, indent=2), out)
-    print(f"{check}: {len(results)} {key}, verdict {'pass' if all_pass else 'FAIL'}")
+    print(f"{check}: {len(items)} {key}, verdict {'pass' if all_pass else 'FAIL'}")
     return 0 if all_pass else 1
 
 
@@ -173,14 +185,16 @@ def cmd_verify_equations(args) -> int:
     origin, grids = _grids(args, [n - 1 for n in levels])
     _check_writable(args.out)
     for n, grid in zip(levels, grids):
-        for res in check_equation(n, grid, args.L, grid_meta=origin):
-            instances.append(res)
+        for res in check_equation(n, grid, args.L):
+            parameters = {"n": n, "L": args.L, "j": res.j, "p": res.p, "i": res.i, "k": res.k}
+            instances.append(_item("equation", parameters, origin, grid, res,
+                                   points_checked=res.points_checked))
             print(
                 f"equation n={n} j={res.j} p={res.p} i={res.i} k={res.k}: "
                 f"{'pass' if res.verdict else 'FAIL'} ({res.points_checked} points)"
             )
-    parameters = {"n": args.n, "n_max": args.n_max, "L": args.L}
-    return _report("equations", parameters, origin, "instances", instances, args.out)
+    return _report("equations", {"n": args.n, "n_max": args.n_max, "L": args.L}, origin, "instances", instances,
+                   args.out)
 
 
 def cmd_verify_boundary(args) -> int:
@@ -194,8 +208,10 @@ def cmd_verify_boundary(args) -> int:
     _check_writable(args.out)
     for dim, grid in zip(dims, grids):
         chain = chain_of_term(identity_term(dim))
-        res = check_boundary_squared(chain, m, grid, grid_meta=origin)
-        runs.append(res)
+        res = check_boundary_squared(chain, m, grid)
+        runs.append(_item("boundary-squared", {"n": dim - 1, "L": m.L, "m": list(m)}, origin, grid, res,
+                          summands=res.summands_total, pairs_checked=res.pairs_checked,
+                          consumed=res.consumed, trivial=res.trivial))
         print(
             f"boundary-squared dim={dim} m={tuple(m)}: "
             f"{'pass' if res.verdict else 'FAIL'} "

@@ -97,10 +97,10 @@ class BaryPoint(abc.Sequence):
             raise ValueError(f"barycentric denominator must be positive, got {den}")
         if min(nums) < 0:
             vals = vals or tuple(Fraction(p, den) for p in nums)
-            raise ValueError(f"negative barycentric coordinate in {vals!r}")
+            raise ValueError(f"negative barycentric coordinate in {format_point(vals)}")
         if sum(nums) != den:
             vals = vals or tuple(Fraction(p, den) for p in nums)
-            raise ValueError(f"barycentric coordinates must sum to 1, got {vals!r}")
+            raise ValueError(f"barycentric coordinates must sum to 1, got {format_point(vals)}")
         if vals is None:  # a caller that knows a multiple of the gcd passes it first
             g = math.gcd(_gcd_bound, den, *nums)
             if g != 1:

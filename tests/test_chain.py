@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from simplexboundary.chain import (
     Chain,
     CoefficientTuple,
     SingularTerm,
+    Witness,
     boundary,
     chain_of_term,
     check_boundary_squared,
@@ -15,7 +17,8 @@ from simplexboundary.chain import (
     equation_instances,
     identity_term,
 )
-from simplexboundary.geometry import BaryPoint, canonical_grid, format_point
+from simplexboundary.cli import main
+from simplexboundary.geometry import DEFAULT_DENOMINATOR, DEFAULT_SEED, BaryPoint, canonical_grid, format_point
 from simplexboundary.theta import FaceMap, ThetaKey, face_insert
 
 
@@ -35,6 +38,13 @@ def instance(results, j, p, i, k):
     """The result of instance (j, p, i, k) out of one level check."""
     [res] = [r for r in results if (r.j, r.p, r.i, r.k) == (j, p, i, k)]
     return res
+
+
+def cli_report(tmp_path, *argv):
+    """The JSON report that the CLI writes for a passing verify run."""
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    return json.loads(out.read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +221,14 @@ def test_check_equation_records_rejections_as_witnesses(monkeypatch):
 
 
 def level_witnesses(L):
-    """Per instance at levels 1..3, the report's witnesses, from one level
-    check per level, whose sides share one memo per grid point."""
-    return [
-        res.to_json()["witnesses"] for n in range(1, 4) for res in check_equation(n, small_grid(n - 1), L)
-    ]
+    """Per instance at levels 1..3, the witnesses, from one level check
+    per level, whose sides share one memo per grid point."""
+    return [res.witnesses for n in range(1, 4) for res in check_equation(n, small_grid(n - 1), L)]
 
 
 def direct_witnesses(L):
     """Per instance at levels 1..3, the witnesses of the two sides composed
-    step by step without a memo, as the report writes them."""
+    step by step without a memo."""
     def compose(term, x):
         for homeo, fm, _, _ in term.steps:
             x = face_insert(fm, homeo(x))
@@ -237,11 +245,10 @@ def direct_witnesses(L):
                 try:
                     left, right = (compose(side, x) for side in sides)
                 except ValueError as exc:
-                    found.append({"point": point, "left": "-", "right": "-",
-                                  "detail": f"{type(exc).__name__}: {exc}"})
+                    found.append(Witness(point, "-", "-", f"{type(exc).__name__}: {exc}"))
                     continue
                 if left != right:
-                    found.append({"point": point, "left": format_point(left), "right": format_point(right)})
+                    found.append(Witness(point, format_point(left), format_point(right)))
             witnesses.append(found)
     return witnesses
 
@@ -315,9 +322,11 @@ def test_certificate_reports_rejections_with_pair(monkeypatch):
     assert all(d.startswith("maps of ") for d in details)
 
 
-def test_check_equation_report_shape():
-    res = instance(check_equation(1, small_grid(0)), 0, 1, 1, 0)
-    data = res.to_json()
+def test_check_equation_report_shape(tmp_path):
+    report = cli_report(tmp_path, "verify-equations", "--n", "1")
+    [data] = [
+        item for item in report["instances"] if [item["parameters"][key] for key in "jpik"] == [0, 1, 1, 0]
+    ]
     assert data["check"] == "equation"
     assert data["verdict"] == "pass"
     assert data["parameters"]["n"] == 1
@@ -373,21 +382,20 @@ def test_certificate_trivial_dimension_one():
     assert res.verdict and res.trivial and res.summands_total == 0
 
 
-def test_certificate_report_shape():
-    res = check_boundary_squared(
-        chain_of_term(identity_term(2)), CoefficientTuple([1, 1]), small_grid(0)
-    )
-    data = res.to_json()
+def test_certificate_report_shape(tmp_path):
+    [data] = cli_report(tmp_path, "verify-boundary", "--n", "2", "--m", "1,1")["runs"]
     assert data["check"] == "boundary-squared"
     assert data["verdict"] == "pass"
     assert data["summands"] == 24
     assert data["pairs_checked"] == 12
 
 
-def test_certificate_grid_size_is_the_grid_length():
-    grid = small_grid(1, 4)
-    res = check_boundary_squared(chain_of_term(identity_term(3)), CoefficientTuple([9, 4]), grid)
-    assert res.to_json()["grid"] == {"size": len(grid)}
+def test_certificate_grid_size_is_the_grid_length(tmp_path):
+    # Dimensions 1..3 run on the grids of dimensions 0, 0 and 1.
+    report = cli_report(tmp_path, "verify-boundary", "--m", "9,4", "--n", "1", "--n-max", "3")
+    sizes = [len(canonical_grid(dim, DEFAULT_DENOMINATOR, DEFAULT_SEED)) for dim in (0, 0, 1)]
+    assert [run["grid"]["size"] for run in report["runs"]] == sizes
+    assert report["grid"] == {"denominator": DEFAULT_DENOMINATOR, "seed": DEFAULT_SEED}
 
 
 def test_certificate_runs_the_identity_once_per_call(monkeypatch):
@@ -411,16 +419,19 @@ def test_certificate_runs_the_identity_once_per_call(monkeypatch):
     assert calls == [2]
 
 
-def test_checks_copy_the_grid_origin():
+def test_checks_copy_the_grid_origin(tmp_path):
+    # Every item's grid is the run's origin plus the length of its own
+    # level's grid; equation level n and certificate dimension n + 1 both
+    # run on the grid of dimension max(n - 1, 0).
     origin = {"denominator": 60, "seed": 7}
-    grid = small_grid(1)
-    equation = instance(check_equation(2, grid, grid_meta=origin), 0, 1, 0, 1)
-    certificate = check_boundary_squared(
-        chain_of_term(identity_term(2)), CoefficientTuple([9, 4]), small_grid(0), grid_meta=origin
-    )
-    assert equation.to_json()["grid"] == {"denominator": 60, "seed": 7, "size": len(grid)}
-    assert certificate.to_json()["grid"] == {"denominator": 60, "seed": 7, "size": 1}
-    assert origin == {"denominator": 60, "seed": 7}
+    levels = ("--n", "1", "--n-max", "3", "--grid-denominator", "60", "--seed", "7")
+    for argv, key in ((("verify-equations",), "instances"), (("verify-boundary", "--m", "9,4"), "runs")):
+        report = cli_report(tmp_path, *argv, *levels)
+        assert report["grid"] == origin
+        for item in report[key]:
+            grid = canonical_grid(max(item["parameters"]["n"] - 1, 0), 60, 7)
+            assert item["grid"] == {**origin, "size": len(grid)}
+        assert len({item["grid"]["size"] for item in report[key]}) > 1
 
 
 # ---------------------------------------------------------------------------

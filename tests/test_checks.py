@@ -10,14 +10,24 @@ from simplexboundary.chain import (
     CoefficientTuple,
     chain_of_term,
     check_boundary_squared,
+    check_equation,
     identity_term,
 )
-from simplexboundary.comfort import SimplexHomeo, extend_from_boundary, extend_from_layer, identity_homeo
+from simplexboundary.comfort import (
+    BadDomain,
+    EndpointNotFixed,
+    SimplexHomeo,
+    extend_from_boundary,
+    extend_from_layer,
+    identity_homeo,
+    lambda_lift,
+)
 from simplexboundary.geometry import BaryPoint, center, parse_point, vertex
 from simplexboundary.homology_point import point_homology
 from simplexboundary.pl1d import (
     OutOfDomain,
     identity_map,
+    polygon,
     restrict,
     sigma_polygon,
     tau_polygon,
@@ -39,6 +49,7 @@ CHECKS = [
     ("double boundary dimension",
      lambda: check_boundary_squared(chain_of_term(identity_term(0)), CoefficientTuple([1, 1]), []), ValueError,
      "the double boundary needs chains of dimension >= 1"),
+    ("identity level", lambda: check_equation(0, []), ValueError, "the identity needs n >= 1"),
     # comfort
     ("homeo dimension", lambda: identity_homeo(2)(LINE), ValueError, "map expects dimension 2, got 1"),
     ("homeo inverse dimension", lambda: SimplexHomeo(1, None, None).inverse_at(PLANE), ValueError,
@@ -49,10 +60,16 @@ CHECKS = [
      "levels (1/3, 1/6) must lie strictly inside (0, 1/3)"),
     ("boundary levels", lambda: extend_from_boundary(ID, F(1, 3), F(1, 6), 2, ID), ValueError,
      "levels (1/3, 1/6) must lie in [0, 1/3)"),
+    ("lift domain", lambda: lambda_lift(identity_map(0, 1), 2), BadDomain,
+     "lift needs a map on [0, 1/3], got [0, 1]"),
+    ("lift endpoints", lambda: lambda_lift(polygon([(0, 0), (F(1, 3), F(1, 4))]), 2), EndpointNotFixed,
+     "lifted map must fix 0 and 1/3"),
     # geometry
     ("empty point", lambda: parse_point("[]"), ValueError, "cannot parse point from '[]'"),
     ("center dimension", lambda: center(-1), ValueError, "dimension must be nonnegative"),
     ("vertex index", lambda: vertex(2, 3), ValueError, "vertex index 3 out of range for dimension 2"),
+    ("point denominator", lambda: BaryPoint([1, 0], 0), ValueError,
+     "barycentric denominator must be positive, got 0"),
     # homology_point
     ("homology degree", lambda: point_homology(-1, CoefficientTuple([9, 4])), ValueError,
      "degree must be nonnegative"),
@@ -69,6 +86,7 @@ CHECKS = [
      "tau is defined for boundary points only"),
     # theta
     ("face map parameters", lambda: FaceMap(0, 0, 0, 0), ValueError, "invalid face map parameters L=0, n=0"),
+    ("face map layer", lambda: FaceMap(1, 2, 2, 0), ValueError, "face map layer index 2 outside 0..1"),
     ("theta dimension", lambda: ThetaKey(1, -1, 0), ValueError, "negative dimension -1"),
     ("theta index", lambda: ThetaKey(1, 2, 2), ValueError, "index 2 outside 0..1"),
     # The face table's first map, deleting the zero at slot j, checks the point.

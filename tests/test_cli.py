@@ -228,6 +228,14 @@ def check_usage_error(argv, message, tmp_path, capsys):
             ["eval", "--map", "pi_alpha:n=1,alpha=1/0", *POINT],
             "bad pi_alpha map id 'pi_alpha:n=1,alpha=1/0': zero denominator in '1/0'",
         ),
+        (
+            ["eval", "--map", "theta:L=1,n=1,i=1", "--point", "[-1/4,5/4]"],
+            "cannot parse point '[-1/4,5/4]': negative barycentric coordinate in [-1/4,5/4]",
+        ),
+        (
+            ["eval", "--map", "theta:L=1,n=1,i=1", "--point", "[1/4,1/4]"],
+            "cannot parse point '[1/4,1/4]': barycentric coordinates must sum to 1, got [1/4,1/4]",
+        ),
     ],
 )
 def test_usage_errors_exit_two(argv, message, tmp_path, capsys):

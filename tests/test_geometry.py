@@ -48,7 +48,8 @@ def test_barypoint_validation():
 # ---------------------------------------------------------------------------
 # Reference formulas: the plain ``Fraction`` arithmetic, with the checks and
 # messages of the code that stored points as ``Fraction`` tuples, which the
-# integer code must reproduce exactly.
+# integer code must reproduce exactly; a message writes its point as
+# ``format_point`` does.
 
 
 def reference_accepts(coords):
@@ -63,9 +64,9 @@ def reference_point(coords):
     if not vals:
         raise ValueError("a barycentric point needs at least one coordinate")
     if min(vals) < 0:
-        raise ValueError(f"negative barycentric coordinate in {vals!r}")
+        raise ValueError(f"negative barycentric coordinate in {format_point(vals)}")
     if sum(vals) != 1:
-        raise ValueError(f"barycentric coordinates must sum to 1, got {vals!r}")
+        raise ValueError(f"barycentric coordinates must sum to 1, got {format_point(vals)}")
     return vals
 
 
