@@ -273,10 +273,9 @@ def check_equation(n: int, grid: Sequence[BaryPoint], L: int = 1) -> List[Equati
     """
     if n < 1:
         raise ValueError("the identity needs n >= 1")
+    check_family(L, n)
     weights = CoefficientTuple([1] * (L + 1))  # the weights do not enter the maps
     summands = {key: term for key, _, term in _double_boundary(identity_term(n + 1), weights)}
-    for term in summands.values():  # every summand is a side of exactly one instance
-        term.steps  # resolve the Θ maps before the loop: one that is not built raises here
     results, sides = [], []
     for (j, p, i, k) in equation_instances(n, L):
         sides.append((summands[j, p, i, k], summands[p + 1, j, k, i]))

@@ -61,7 +61,7 @@ def _parse_m(text: str) -> CoefficientTuple:
 def _read_config(path: str) -> dict:
     values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -149,27 +149,29 @@ def _report(check: str, parameters: dict, origin: dict, key: str, items: list, o
     return 0 if all_pass else 1
 
 
-def _grids(args, dims) -> Tuple[dict, List[List[BaryPoint]]]:
-    """The grids' origin (denominator and seed) and the canonical grid per
-    dimension, all built before any check runs, so a too small
-    --grid-denominator is a usage error."""
-    if args.grid_denominator < 1:
-        raise UsageError(f"--grid-denominator {args.grid_denominator} must be at least 1")
-    try:
-        grids = [canonical_grid(dim, args.grid_denominator, args.seed) for dim in dims]
-    except ValueError as exc:
-        raise UsageError(f"--grid-denominator {args.grid_denominator}: {exc}") from exc
-    return {"denominator": args.grid_denominator, "seed": args.seed}, grids
-
-
-def _check_levels(args, L: int, theta_dim: int) -> None:
-    """Validate --n/--n-max, then ask ``check_family`` for every Θ up to
-    ``theta_dim``, the top Θ dimension the run needs."""
+def _verify(args, L: int, shift: int) -> Tuple[dict, range, List[List[BaryPoint]]]:
+    """Settle a verify run before any check runs: check --n/--n-max, ask
+    ``check_family`` for the top Θ, build every grid and probe --out.  Each
+    n in --n..--n-max checks the identity at level n + ``shift`` (0, or -1
+    for the certificate of dimension n), on a canonical grid one dimension
+    lower.  Returns the grids' origin (denominator and seed), the range of
+    n and the grid of each."""
+    if args.n_max is None:
+        args.n_max = args.n
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     if args.n_max < args.n:
         raise UsageError(f"--n-max {args.n_max} is below --n {args.n}")
-    check_family(L, theta_dim)
+    check_family(L, args.n_max + shift)
+    if args.grid_denominator < 1:
+        raise UsageError(f"--grid-denominator {args.grid_denominator} must be at least 1")
+    levels = range(args.n, args.n_max + 1)
+    try:
+        grids = [canonical_grid(max(n + shift - 1, 0), args.grid_denominator, args.seed) for n in levels]
+    except ValueError as exc:
+        raise UsageError(f"--grid-denominator {args.grid_denominator}: {exc}") from exc
+    _check_writable(args.out)
+    return {"denominator": args.grid_denominator, "seed": args.seed}, levels, grids
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +179,8 @@ def _check_levels(args, L: int, theta_dim: int) -> None:
 
 
 def cmd_verify_equations(args) -> int:
-    if args.n_max is None:
-        args.n_max = args.n
-    _check_levels(args, args.L, args.n_max)
+    origin, levels, grids = _verify(args, args.L, 0)
     instances = []
-    levels = range(args.n, args.n_max + 1)
-    origin, grids = _grids(args, [n - 1 for n in levels])
-    _check_writable(args.out)
     for n, grid in zip(levels, grids):
         for res in check_equation(n, grid, args.L):
             parameters = {"n": n, "L": args.L, "j": res.j, "p": res.p, "i": res.i, "k": res.k}
@@ -198,14 +195,9 @@ def cmd_verify_equations(args) -> int:
 
 
 def cmd_verify_boundary(args) -> int:
-    if args.n_max is None:
-        args.n_max = args.n
     m = _parse_m(args.m)
-    _check_levels(args, m.L, args.n_max - 1)
+    origin, dims, grids = _verify(args, m.L, -1)
     runs = []
-    dims = range(args.n, args.n_max + 1)
-    origin, grids = _grids(args, [max(dim - 2, 0) for dim in dims])
-    _check_writable(args.out)
     for dim, grid in zip(dims, grids):
         chain = chain_of_term(identity_term(dim))
         res = check_boundary_squared(chain, m, grid)

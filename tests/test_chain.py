@@ -19,7 +19,7 @@ from simplexboundary.chain import (
 )
 from simplexboundary.cli import main
 from simplexboundary.geometry import DEFAULT_DENOMINATOR, DEFAULT_SEED, BaryPoint, canonical_grid, format_point
-from simplexboundary.theta import FaceMap, ThetaKey, face_insert
+from simplexboundary.theta import FaceMap, ThetaKey, UnsupportedL, face_insert
 
 
 def small_grid(n, k=8):
@@ -306,6 +306,17 @@ def test_check_equation_builds_each_inner_composite_once(monkeypatch, n, L):
 def test_check_equation_past_dimension_cap_raises():
     with pytest.raises(ValueError, match="up to dimension 8"):
         check_equation(9, [])
+
+
+def test_check_equation_asks_check_family_before_any_theta_lookup(monkeypatch):
+    from simplexboundary import chain
+
+    keys, real_theta = [], chain.theta
+    monkeypatch.setattr(chain, "theta", lambda key: keys.append(key) or real_theta(key))
+    with pytest.raises(UnsupportedL) as info:
+        check_equation(9, [])
+    assert str(info.value) == "Θ(1,9,1) is past the cap: the inductive family is built up to dimension 8"
+    assert keys == []
 
 
 def test_certificate_reports_rejections_with_pair(monkeypatch):

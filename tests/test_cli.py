@@ -340,6 +340,17 @@ test_repeated_config_key_exits_two = usage_errors(
     (["verify-equations", "--L", "0", "--config", b"n=1\nn=2\n"], "repeated config key 'n'"),
     (["homology", "--m", "9,4", "--config", b"n-max=1\nn_max=2\n"], "repeated config key 'n_max'"),
 )
+
+
+def test_config_with_byte_order_mark(tmp_path, capsys):
+    # Editors such as Notepad may start a UTF-8 file with a byte-order mark.
+    config = tmp_path / "c.cfg"
+    config.write_bytes(b"\xef\xbb\xbfn_max=2\n")
+    assert run(capsys, "homology", "--m", "9,4", "--config", str(config)) == (
+        0, "0, 0, Z\n1, 0, Z/13\n2, ×13, 0\n", ""
+    )
+
+
 # A flag given twice is refused like a repeated config key, by its full
 # spelling even when an abbreviation matched it; only --point repeats.
 test_repeated_flag_exits_two = usage_errors(
@@ -399,6 +410,21 @@ test_verify_boundary_nonpositive_grid_denominator_exits_two = usage_errors(
 )
 test_verify_boundary_l_contradicting_m_exits_two = usage_errors(
     (["verify-boundary", "--m", "9,4", "--L", "0"], "unrecognized arguments: --L 0"),
+)
+# Both verify commands settle a run in one order before any check runs:
+# --m (verify-boundary only), --n, --n-max, the top Θ, the grids, --out.
+NO_DIR_OUT = ("--out", "/no/such/dir/r.json")
+test_verify_usage_errors_come_in_run_order = usage_errors(
+    (["verify-boundary", "--n", "0", "--m", "9,x"],
+     "cannot parse coefficient tuple '9,x': invalid literal for int() with base 10: 'x'"),
+    (["verify-equations", "--n", "0", "--grid-denominator", "0"], "--n must be at least 1"),
+    (["verify-equations", "--n", "2", "--n-max", "1", "--L", "2"], "--n-max 1 is below --n 2"),
+    (["verify-equations", "--n", "1", "--n-max", "9", "--grid-denominator", "0"], CAP_9),
+    (["verify-boundary", "--m", "9,4", "--n", "2", "--n-max", "10", "--grid-denominator", "0"], CAP_9),
+    (["verify-equations", "--n", "1", "--grid-denominator", "0", *NO_DIR_OUT],
+     "--grid-denominator 0 must be at least 1"),
+    (["verify-boundary", "--m", "1", "--n", "3", "--grid-denominator", "1", *NO_DIR_OUT],
+     "--grid-denominator 1: denominator too small to host distinct coordinates"),
 )
 
 
